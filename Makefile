@@ -9,12 +9,11 @@ FUZZ_TARGETS := \
 	./internal/dsp:FuzzWelchPairVsSingle \
 	./internal/isa:FuzzDecodeEncodeRoundTrip \
 	./internal/isa:FuzzEncodeDecodeInstruction \
-	./internal/engine:FuzzLoadCheckpoint \
-	./internal/engine:FuzzCacheDiskEntry \
+	./internal/service:FuzzSubmitBody \
 	./internal/store:FuzzStoreRecord \
 	./internal/store:FuzzStoreHeader
 
-.PHONY: build test bench bench-json bench-guard lint verify fuzz-smoke daemon-smoke
+.PHONY: build test bench bench-json bench-guard bench-selftest lint verify fuzz-smoke daemon-smoke
 
 # Baseline snapshot cmd/benchguard compares against; re-record with
 # `make bench-json` after intentional performance changes.
@@ -42,6 +41,12 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=$(BENCH_JSON_TIME) -count=$(BENCH_JSON_COUNT) ./... > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/benchjson -out BENCH_$$(date +%Y%m%d).json < bench.out
 	@rm -f bench.out
+
+# Self-test of the benchmark harness. savatbench is its own module, so
+# `go test ./...` at the root never builds it; this vets it and runs its
+# short tests against the current tree.
+bench-selftest:
+	cd savatbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Static analysis: vet always; staticcheck when installed (CI installs a
 # pinned version, local runs without it degrade gracefully).
@@ -79,7 +84,7 @@ verify:
 
 # End-to-end smoke of the campaign daemon: builds savatd, starts it on
 # a random port, submits a 3×3 campaign over HTTP, cancels it mid-run,
-# resubmits to resume from the checkpoint, streams the events, diffs
+# resubmits to resume from the cell store, streams the events, diffs
 # the served matrix bit-for-bit against a direct in-process run, then
 # SIGKILLs the daemon mid-campaign and proves the restart resumes from
 # the durable cell store.

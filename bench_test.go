@@ -617,12 +617,11 @@ func BenchmarkAnalyticCrossCheck(b *testing.B) {
 
 // --- Durable cell store (internal/store) -----------------------------
 //
-// The store benchmarks quantify the claims behind adopting the
-// append-only segment log as the default cache backend: write-behind
-// batching amortizes the disk to a fraction of a syscall per Put where
-// the legacy JSON-dir layer pays at least four (create, write, close,
-// rename) for every cell, and a 10⁵-record log reopens (replay +
-// index rebuild) in well under a second.
+// The store benchmarks quantify the claims behind the append-only
+// segment log as the durable cache layer: write-behind batching
+// amortizes the disk to a fraction of a syscall per Put, and a
+// 10⁵-record log reopens (replay + index rebuild) in well under a
+// second.
 
 // BenchmarkStorePut measures the store's Put throughput including the
 // final Sync, reporting observed write-path syscalls per record.
@@ -646,22 +645,6 @@ func BenchmarkStorePut(b *testing.B) {
 	stats := st.Stats()
 	b.ReportMetric(float64(stats.Syscalls)/float64(b.N), "syscalls/op")
 	b.ReportMetric(float64(stats.BatchedRecords)/float64(stats.Batches), "records/batch")
-}
-
-// BenchmarkJSONCachePut is the legacy baseline: one atomically-renamed
-// JSON file per Put (≥ 4 write-path syscalls each, by construction).
-func BenchmarkJSONCachePut(b *testing.B) {
-	cache, err := engine.NewCache(64, b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Put(engine.Key(fmt.Sprintf("bench-cell-%d", i)), 42.5)
-	}
-	b.StopTimer()
-	b.ReportMetric(4, "syscalls/op")
 }
 
 // benchCampaignWithCache runs the small benchmark campaign against a
@@ -688,24 +671,13 @@ func benchCampaignWithCache(b *testing.B, cache *engine.Cache) {
 }
 
 // BenchmarkCampaignStoreBacked runs a campaign whose cells persist
-// through the store-backed cache (the savatd / -cache-backend=store
-// write path).
+// through the store-backed cache (the savatd / -cache-dir write path).
 func BenchmarkCampaignStoreBacked(b *testing.B) {
-	cache, err := engine.NewStoreCache(engine.DefaultCacheCapacity, b.TempDir())
+	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer cache.Close()
-	benchCampaignWithCache(b, cache)
-}
-
-// BenchmarkCampaignJSONCache is the same campaign over the legacy
-// one-file-per-cell layer.
-func BenchmarkCampaignJSONCache(b *testing.B) {
-	cache, err := engine.NewCache(engine.DefaultCacheCapacity, b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	cache := engine.NewCache(engine.DefaultCacheCapacity, st)
 	defer cache.Close()
 	benchCampaignWithCache(b, cache)
 }

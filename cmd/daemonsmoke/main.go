@@ -4,20 +4,19 @@
 // lifecycle over the HTTP API:
 //
 //  1. submit a 3×3 campaign and cancel it mid-run via DELETE,
-//  2. resubmit the identical spec and watch it resume from the
-//     checkpoint (cached cells > 0),
+//  2. resubmit the identical spec and watch it resume: the finished
+//     cells are restored from the store (cached cells > 0),
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
 //     direct in-process savat.RunSpec of the same spec,
 //  5. SIGKILL the daemon mid-campaign, restart it on the same state
 //     directory, and watch the resubmitted campaign resume from the
-//     durable cell store (the campaign is shorter than the periodic
-//     checkpoint interval and a SIGKILL skips the final checkpoint, so
-//     every resumed cell must have come through the store's
-//     write-behind flusher), finishing bit-identical to a direct run,
+//     durable cell store (a SIGKILL skips every shutdown path, so each
+//     resumed cell must have come through the store's write-behind
+//     flusher), finishing bit-identical to a direct run,
 //  6. run a power-channel campaign through the same cancel/resume
-//     cycle: the channel dimension must reach the daemon's checkpoint
-//     and cache fingerprints intact, and the resumed matrix must be
+//     cycle: the channel dimension must reach the daemon's fingerprint
+//     and cell keys intact, and the resumed matrix must be
 //     bit-identical to a direct in-process run of the same spec.
 //
 // Any divergence, HTTP error, or timeout exits non-zero.
@@ -106,7 +105,7 @@ func run() error {
 		return err
 	}
 	// DELETE requests cancellation; the job reaches the cancelled state
-	// asynchronously once the engine unwinds and checkpoints.
+	// asynchronously once the engine unwinds.
 	if _, err := cancel(base, first.ID); err != nil {
 		return err
 	}
@@ -119,8 +118,8 @@ func run() error {
 	}
 	fmt.Printf("daemon-smoke: cancelled %s after %d/%d cells\n", first.ID, final.Stats.Done, total)
 
-	// Resubmit the identical spec: the fingerprint-keyed checkpoint
-	// must restore the cancelled run's finished cells.
+	// Resubmit the identical spec: the store must restore the cancelled
+	// run's finished cells.
 	second, err := submit(base, spec)
 	if err != nil {
 		return err
@@ -139,9 +138,9 @@ func run() error {
 		return fmt.Errorf("resumed job %s: state %s, error %q", second.ID, final.State, final.Error)
 	}
 	if final.Stats.Cached == 0 {
-		return fmt.Errorf("resumed job %s recomputed everything; checkpoint restored nothing", second.ID)
+		return fmt.Errorf("resumed job %s recomputed everything; nothing was restored from the store", second.ID)
 	}
-	fmt.Printf("daemon-smoke: resumed %s (%d cells from checkpoint, %d computed)\n",
+	fmt.Printf("daemon-smoke: resumed %s (%d cells restored from the store, %d computed)\n",
 		second.ID, final.Stats.Cached, final.Stats.Computed)
 
 	// The daemon's matrix must match a direct in-process run bit for bit.
@@ -161,10 +160,8 @@ func run() error {
 	fmt.Println("daemon-smoke: matrix bit-identical to direct run")
 
 	// Phase 5: SIGKILL mid-campaign. A fresh spec (different seed) avoids
-	// the cells already persisted above; the campaign is far shorter than
-	// the 64-cell periodic checkpoint interval and the kill skips the
-	// final one, so the restarted daemon can only resume from cells the
-	// durable store flushed before the kill.
+	// the cells already persisted above, so the restarted daemon can only
+	// resume from cells the durable store flushed before the kill.
 	spec2 := smokeSpec()
 	spec2.Seed = 23
 	killed, err := submit(base, spec2)
@@ -267,9 +264,9 @@ func run() error {
 		return fmt.Errorf("resumed power job %s: state %s, error %q", pr.ID, final.State, final.Error)
 	}
 	if final.Stats.Cached == 0 {
-		return fmt.Errorf("resumed power job %s recomputed everything; checkpoint restored nothing", pr.ID)
+		return fmt.Errorf("resumed power job %s recomputed everything; nothing was restored from the store", pr.ID)
 	}
-	fmt.Printf("daemon-smoke: resumed power campaign %s (%d cells restored, %d computed)\n",
+	fmt.Printf("daemon-smoke: resumed power campaign %s (%d cells restored from the store, %d computed)\n",
 		pr.ID, final.Stats.Cached, final.Stats.Computed)
 
 	var served3 savat.MatrixStats

@@ -10,9 +10,9 @@
 //	savat -machine Pentium3M -matrix -format heatmap
 //	savat -machine TurionX2 -matrix -format csv > turion.csv
 //
-// Long campaigns are resumable: -checkpoint persists finished cells and
-// a re-run with the same flags continues where the previous one (or a
-// Ctrl-C) left off; -cache-dir memoizes per-cell results across runs.
+// Long campaigns are resumable: -cache-dir persists every finished cell,
+// so a re-run with the same flags and -cache-dir continues where the
+// previous one (or a Ctrl-C) left off.
 //
 // Campaigns serialize: -emit-spec writes the savat.CampaignSpec the
 // flags describe (the same JSON the savatd service accepts), and -spec
@@ -61,7 +61,6 @@ func run() error {
 		matrix     = flag.Bool("matrix", false, "measure the full 11×11 matrix")
 		format     = flag.String("format", "table", "matrix output: table, heatmap, csv, bars, stats")
 		dumpKernel = flag.Bool("kernel", false, "with -pair: print the generated alternation kernel instead of measuring")
-		checkpoint = flag.String("checkpoint", "", "with -matrix: checkpoint file for resumable campaigns")
 	)
 	flag.Parse()
 
@@ -138,13 +137,12 @@ func run() error {
 		return nil
 
 	case *matrix:
-		// Ctrl-C cancels the campaign; with -checkpoint the finished
-		// cells are saved and the next identical run resumes from them.
+		// Ctrl-C cancels the campaign; with -cache-dir the finished
+		// cells are kept and the next identical run resumes from them.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 
 		var opts savat.CampaignOptions
-		opts.CheckpointPath = *checkpoint
 		// The closer flushes a store-backed cache's write-behind buffer,
 		// so even a Ctrl-C'd campaign keeps every measured cell.
 		cache, closeCache, err := cf.OpenCache()
@@ -171,9 +169,9 @@ func run() error {
 		res, err := savat.RunSpecContext(ctx, spec, opts)
 		wg.Wait()
 		if err != nil {
-			if *checkpoint != "" && ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "interrupted at %d/%d cells; checkpoint saved to %s — rerun to resume\n",
-					last.Done, last.Total, *checkpoint)
+			if cf.CacheDir != "" && ctx.Err() != nil {
+				fmt.Fprintf(os.Stderr, "interrupted at %d/%d cells; finished cells kept in %s — rerun with the same -cache-dir to resume\n",
+					last.Done, last.Total, cf.CacheDir)
 			}
 			return err
 		}

@@ -1,9 +1,10 @@
 // Command savatd is the measurement campaign daemon: it accepts
 // savat.CampaignSpec submissions over an HTTP JSON API, runs them on a
 // shared cache with in-flight deduplication and per-tenant fair
-// scheduling, streams progress events, and checkpoints cancelled
-// campaigns for resume. See DESIGN.md §12 and the README's "Running as
-// a service" section.
+// scheduling, and streams progress events. Finished cells persist in the
+// state directory's cell store, so a cancelled or killed campaign
+// resumes when resubmitted. See DESIGN.md §12 and the README's "Running
+// as a service" section.
 //
 //	savatd -addr localhost:8080 -state-dir /var/lib/savatd
 //
@@ -29,7 +30,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8080", "listen address (host:port; port 0 picks one)")
-		stateDir    = flag.String("state-dir", "", "persistent state root: result cache and checkpoints (empty = in-memory only)")
+		stateDir    = flag.String("state-dir", "", "persistent state root: the durable result cache (empty = in-memory only)")
 		maxActive   = flag.Int("max-active", 2, "campaigns running concurrently")
 		parallelism = flag.Int("parallelism", 0, "workers per campaign (0 = GOMAXPROCS)")
 		cacheCap    = flag.Int("cache-capacity", 0, "in-memory result cache entries (0 = default)")
@@ -84,8 +85,8 @@ func run(addr string, opts service.Options) error {
 		return err
 	}
 
-	// Graceful shutdown: cancel and checkpoint the running campaigns
-	// (which also ends any open event streams), then drain HTTP.
+	// Graceful shutdown: cancel the running campaigns (which also ends
+	// any open event streams) and flush the cell store, then drain HTTP.
 	srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

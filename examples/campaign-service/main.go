@@ -21,7 +21,7 @@ import (
 
 func main() {
 	// An in-process campaign server: 2 campaigns at a time, in-memory
-	// cache (pass StateDir to persist results and checkpoints on disk).
+	// cache (pass StateDir to persist results on disk).
 	srv, err := service.New(service.Options{MaxActive: 2})
 	if err != nil {
 		log.Fatal(err)

@@ -8,7 +8,6 @@
 package cliconf
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/savat"
+	"repro/internal/store"
 )
 
 // Sentinel validation errors; test with errors.Is. The setup sentinels
@@ -42,9 +42,6 @@ var (
 	// ErrBadCountermeasure reports an invalid -countermeasure entry that
 	// survived flag parsing (e.g. from a spec file).
 	ErrBadCountermeasure = savat.ErrBadCountermeasure
-	// ErrBadCacheBackend reports a -cache-backend that is neither
-	// "store" nor "json".
-	ErrBadCacheBackend = errors.New("cliconf: -cache-backend must be \"store\" or \"json\"")
 )
 
 // Set selects which of the shared flags a command registers.
@@ -75,9 +72,9 @@ const (
 	// overriding the setup flags) and -emit-spec (write the resolved
 	// campaign spec instead of running it).
 	Spec
-	// CacheDir registers -cache-dir (persistent per-cell result cache)
-	// and -cache-backend (its durable layer: the batched segment-log
-	// store, or the legacy one-JSON-file-per-cell layout).
+	// CacheDir registers -cache-dir (persistent per-cell result cache,
+	// kept in the batched segment-log store; rerunning a campaign with
+	// the same -cache-dir resumes it).
 	CacheDir
 	// Countermeasure registers -countermeasure (repeatable name:param
 	// countermeasure chain entries, e.g. noop-insert:0.1). Opt-in like
@@ -106,7 +103,6 @@ type Flags struct {
 	SpecPath        string
 	EmitSpec        string
 	CacheDir        string
-	CacheBack       string
 	Countermeasures counter.Chain
 
 	set Set
@@ -169,7 +165,6 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 	}
 	if which&CacheDir != 0 {
 		fs.StringVar(&f.CacheDir, "cache-dir", "", "persist per-cell results here and reuse them across runs")
-		fs.StringVar(&f.CacheBack, "cache-backend", "store", "durable cache layer: store (batched segment log) or json (legacy one file per cell)")
 	}
 	return f
 }
@@ -179,36 +174,23 @@ func Register(fs *flag.FlagSet, which Set) *Flags {
 // durable layer; defer the closer so interrupted runs still persist
 // their buffered cells. Without -cache-dir (or without the CacheDir
 // flag set) the cache is in-memory only and the closer is a no-op.
-//
-// With -cache-dir, the default "store" backend keeps the cells in the
-// append-only segment log of internal/store — a directory still in the
-// legacy JSON layout is migrated on first open — while
-// -cache-backend json forces the old one-file-per-cell layer.
+// With -cache-dir the cells live in the append-only segment log of
+// internal/store, so rerunning a campaign with the same -cache-dir
+// resumes it.
 func (f *Flags) OpenCache() (*engine.Cache, func(), error) {
 	if f.set&CacheDir == 0 || f.CacheDir == "" {
-		cache, _ := engine.NewCache(0, "") // memory-only: cannot fail
-		return cache, func() {}, nil
+		return engine.NewCache(0, nil), func() {}, nil
 	}
-	switch f.CacheBack {
-	case "store":
-		cache, err := engine.NewStoreCache(0, f.CacheDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cliconf: -cache-dir: %w", err)
-		}
-		return cache, func() {
-			if err := cache.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cliconf: closing cache:", err)
-			}
-		}, nil
-	case "json":
-		cache, err := engine.NewCache(0, f.CacheDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cliconf: -cache-dir: %w", err)
-		}
-		return cache, func() {}, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: %q", ErrBadCacheBackend, f.CacheBack)
+	st, err := store.Open(f.CacheDir, store.Options{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("cliconf: -cache-dir: %w", err)
 	}
+	cache := engine.NewCache(0, st)
+	return cache, func() {
+		if err := cache.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "cliconf: closing cache:", err)
+		}
+	}, nil
 }
 
 // StartProfiles starts the profiling the -cpuprofile and -memprofile

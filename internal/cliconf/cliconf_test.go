@@ -248,13 +248,10 @@ func TestOpenCacheBackends(t *testing.T) {
 	cache.Put("k", 1)
 	closeCache()
 
-	// The default backend persists through the segment log: a second
-	// open over the same directory sees the first one's cells.
+	// -cache-dir persists through the segment log: a second open over
+	// the same directory sees the first one's cells.
 	dir := t.TempDir()
 	f = parse(t, All|CacheDir, "-cache-dir", dir)
-	if f.CacheBack != "store" {
-		t.Fatalf("default -cache-backend = %q, want store", f.CacheBack)
-	}
 	cache, closeCache, err = f.OpenCache()
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +259,7 @@ func TestOpenCacheBackends(t *testing.T) {
 	cache.Put("cell", 42.5)
 	closeCache()
 	if seg, err := os.Stat(filepath.Join(dir, "000001.seg")); err != nil || seg.Size() == 0 {
-		t.Fatalf("store backend wrote no segment: %v", err)
+		t.Fatalf("-cache-dir wrote no segment: %v", err)
 	}
 	cache, closeCache, err = f.OpenCache()
 	if err != nil {
@@ -272,23 +269,4 @@ func TestOpenCacheBackends(t *testing.T) {
 		t.Fatalf("reopened store cache: (%v, %v)", v, ok)
 	}
 	closeCache()
-
-	// The json backend keeps the legacy one-file-per-cell layout.
-	jdir := t.TempDir()
-	f = parse(t, All|CacheDir, "-cache-dir", jdir, "-cache-backend", "json")
-	cache, closeCache, err = f.OpenCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Put("cell", 1.5)
-	closeCache()
-	if _, err := os.Stat(filepath.Join(jdir, "cell.json")); err != nil {
-		t.Fatalf("json backend wrote no cell file: %v", err)
-	}
-
-	// Unknown backends fail with the sentinel.
-	f = parse(t, All|CacheDir, "-cache-dir", t.TempDir(), "-cache-backend", "bolt")
-	if _, _, err := f.OpenCache(); !errors.Is(err, ErrBadCacheBackend) {
-		t.Fatalf("unknown backend: %v, want ErrBadCacheBackend", err)
-	}
 }

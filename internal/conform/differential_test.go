@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/savat"
+	"repro/internal/store"
 )
 
 // TestDifferentialSweep is the standing fast-path acceptance gate: 30
@@ -85,93 +86,15 @@ func TestGenDiffSpecsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignCancelResumeStress exercises the engine's full
-// cancellation surface from the savat layer: a campaign is cancelled
-// mid-flight (workers racing the canceller), resumed from its
-// checkpoint, and the final matrix must be cell-for-cell identical to
-// an uninterrupted run. The package's -race CI job makes this a data
-// race detector for the engine/campaign seam as well.
-func TestCampaignCancelResumeStress(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	cfg.Duration = 1.0 / 32 // many small cells → cancellation lands mid-grid
-	events := []savat.Event{savat.LDM, savat.STM, savat.NOI, savat.ADD}
-	opts := func(path string) savat.CampaignOptions {
-		return savat.CampaignOptions{
-			Events: events, Repeats: 3, Seed: 5,
-			Parallelism:    4,
-			CheckpointPath: path,
-		}
-	}
-
-	clean, err := savat.RunCampaign(mc, cfg, opts(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "stress.ckpt")
-	total := len(events) * len(events) * 3
-
-	// Cancel once a third of the cells finished; the monitor drain keeps
-	// running until the engine closes the channel.
-	ctx, cancel := context.WithCancel(context.Background())
-	monitor := make(chan engine.ProgressEvent, total)
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range monitor {
-			n++
-			if n == total/3 {
-				cancel()
-			}
-		}
-		done <- n
-	}()
-	o := opts(ckpt)
-	o.Monitor = monitor
-	_, err = savat.RunCampaignContext(ctx, mc, cfg, o)
-	seen := <-done
-	cancel()
-	if err == nil {
-		// The race between cancellation and the last finishing workers can
-		// legitimately complete the grid; in that case there is nothing to
-		// resume and the stress degenerates to the clean comparison below.
-		t.Logf("campaign outran cancellation (%d cells seen)", seen)
-	} else if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v", err)
-	}
-
-	resumed, err := savat.RunCampaign(mc, cfg, opts(ckpt))
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	// Restored checkpoint cells are accounted as cache hits; the resumed
-	// run uses a fresh in-memory cache, so every hit came from the file.
-	if resumed.Engine.Cached == 0 && seen < total {
-		t.Errorf("resume restored no cells (cancelled run finished %d)", seen)
-	}
-
-	for i := range events {
-		for j := range events {
-			if clean.Mean.Vals[i][j] != resumed.Mean.Vals[i][j] {
-				t.Errorf("%v/%v: clean %g vs resumed %g",
-					events[i], events[j], clean.Mean.Vals[i][j], resumed.Mean.Vals[i][j])
-			}
-			if clean.Cells[i][j].StdDev != resumed.Cells[i][j].StdDev {
-				t.Errorf("%v/%v: per-cell stats diverge across resume", events[i], events[j])
-			}
-		}
-	}
-}
-
-// TestCampaignCancelResumeStoreBacked is the durable-store variant of
-// the cancel/resume stress: instead of a checkpoint file, the campaign
-// persists cells through a store-backed cache (the append-only segment
-// log of internal/store). The campaign is cancelled mid-flight, the
-// cache is closed (flushing the write-behind buffer), a fresh cache is
-// reopened over the same directory, and the rerun must restore cells
-// from the log and produce a matrix cell-for-cell identical to an
-// uninterrupted run.
+// TestCampaignCancelResumeStoreBacked exercises the engine's full
+// cancellation surface from the savat layer: the campaign persists
+// cells through a store-backed cache (the append-only segment log of
+// internal/store) and is cancelled mid-flight, workers racing the
+// canceller. The cache is closed (flushing the write-behind buffer), a
+// fresh cache is reopened over the same directory, and the rerun must
+// restore cells from the log and produce a matrix cell-for-cell
+// identical to an uninterrupted run. The package's -race CI job makes
+// this a data race detector for the engine/campaign seam as well.
 func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := savat.FastConfig()
@@ -193,10 +116,11 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
 	total := len(events) * len(events) * 3
 
-	cache, err := engine.NewStoreCache(engine.DefaultCacheCapacity, dir)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache := engine.NewCache(engine.DefaultCacheCapacity, st)
 	ctx, cancel := context.WithCancel(context.Background())
 	monitor := make(chan engine.ProgressEvent, total)
 	done := make(chan int)
@@ -221,15 +145,16 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
 	// Close drains the store's write-behind buffer: every finished cell
-	// is durable even though the campaign never reached a checkpoint.
+	// is durable.
 	if err := cache.Close(); err != nil {
 		t.Fatalf("closing cancelled campaign's cache: %v", err)
 	}
 
-	resumed, err := engine.NewStoreCache(engine.DefaultCacheCapacity, dir)
+	st, err = store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatalf("reopening cache dir: %v", err)
 	}
+	resumed := engine.NewCache(engine.DefaultCacheCapacity, st)
 	defer resumed.Close()
 	res, err := savat.RunCampaign(mc, cfg, opts(resumed))
 	if err != nil {

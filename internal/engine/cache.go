@@ -4,11 +4,9 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"repro/internal/store"
 )
 
 // DefaultCacheCapacity is the in-memory LRU size used when an Engine is
@@ -16,7 +14,7 @@ import (
 const DefaultCacheCapacity = 4096
 
 // Key hashes arbitrary cell-identity material into the fixed-width
-// content address used by the cache and the checkpoint fingerprint.
+// content address used by the cache and the campaign fingerprint.
 // Callers pass a canonical dump of everything that determines a cell's
 // value (machine config, measurement config, pair, seed, repetition);
 // two cells share a cache slot exactly when that material matches.
@@ -25,39 +23,20 @@ func Key(material string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// Backing is the durable layer behind a Cache: the read-through /
-// write-behind seam the in-memory LRU falls back to. Implementations
-// must be safe for concurrent use. Load and Store follow the cache's
-// accelerator contract — a backing that cannot serve a key reports a
-// miss, and a backing that cannot persist a value drops it silently
-// rather than failing the campaign; persistent failures surface on
-// Sync and Close.
-type Backing interface {
-	// Load returns the durable value for key, if present.
-	Load(key string) (float64, bool)
-	// Store persists the value for key (possibly asynchronously).
-	Store(key string, v float64)
-	// Sync blocks until every Store accepted so far is durable.
-	Sync() error
-	// Close flushes and releases the backing.
-	Close() error
-}
-
 // Cache memoizes per-cell results under content-addressed keys. It has
-// an in-memory LRU layer and, optionally, a durable Backing: every Put
-// is handed to the backing, and a Get that misses in memory falls back
-// to it (promoting the value back into the LRU). The backing is what
-// lets interrupted or repeated campaigns skip finished cells across
-// processes. Two backings exist: the legacy one-JSON-file-per-cell
-// directory (NewCache with a dir) and the batched append-only segment
-// log of internal/store (NewStoreCache), which is the default for new
-// cache directories. All methods are safe for concurrent use.
+// an in-memory LRU layer and, optionally, a durable layer: the
+// append-only segment log of internal/store. Every Put is handed to the
+// store's write-behind buffer, and a Get that misses in memory falls
+// back to the store (promoting the value back into the LRU). The store
+// is what lets interrupted or repeated campaigns skip finished cells
+// across processes: resuming a campaign is rerunning it against the
+// same store. All methods are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
-	back     Backing
+	st       *store.Store
 
 	hits, misses, diskHits uint64
 }
@@ -68,24 +47,11 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache holding up to capacity entries in memory
-// (capacity <= 0 uses DefaultCacheCapacity). A non-empty dir enables
-// the legacy JSON-on-disk layer — one <key>.json file per cell; the
-// directory is created if needed. New code that wants a disk layer
-// should prefer NewStoreCache.
-func NewCache(capacity int, dir string) (*Cache, error) {
-	var back Backing
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("engine: cache dir: %w", err)
-		}
-		back = jsonDirBacking{dir: dir}
-	}
-	return NewCacheWith(capacity, back), nil
-}
-
-// NewCacheWith returns a cache over an explicit backing (nil =
-// memory-only).
-func NewCacheWith(capacity int, back Backing) *Cache {
+// (capacity <= 0 uses DefaultCacheCapacity) over the durable store st;
+// a nil st makes the cache memory-only. The cache takes ownership of
+// st: Close closes it. Values round-trip through the store bit-exactly,
+// non-finite included.
+func NewCache(capacity int, st *store.Store) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
@@ -93,13 +59,13 @@ func NewCacheWith(capacity int, back Backing) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		back:     back,
+		st:       st,
 	}
 }
 
 // Get returns the cached value for key, consulting memory first and
-// then the backing. The backing read happens outside the cache lock, so
-// a slow disk miss never stalls concurrent in-memory hits.
+// then the store. The store read happens outside the cache lock, so a
+// slow disk miss never stalls concurrent in-memory hits.
 func (c *Cache) Get(key string) (float64, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -109,11 +75,10 @@ func (c *Cache) Get(key string) (float64, bool) {
 		c.mu.Unlock()
 		return v, true
 	}
-	back := c.back
 	c.mu.Unlock()
 
-	if back != nil {
-		if v, ok := back.Load(key); ok {
+	if c.st != nil {
+		if v, ok := c.load(key); ok {
 			c.mu.Lock()
 			if el, raced := c.items[key]; raced {
 				// Another goroutine promoted (or Put) the key while we
@@ -135,11 +100,11 @@ func (c *Cache) Get(key string) (float64, bool) {
 	return 0, false
 }
 
-// Put stores the value for key in memory and hands it to the backing
-// when one is present. Backing write failures are deliberately
-// swallowed: the cache is an accelerator, and a full or read-only disk
-// must not fail the campaign (a store-backed cache reports persistent
-// failures on Sync/Close).
+// Put stores the value for key in memory and hands it to the store's
+// write-behind buffer when there is one. Store write failures are
+// deliberately swallowed: the cache is an accelerator, and a full or
+// read-only disk must not fail the campaign. Persistent failures
+// resurface on Close.
 func (c *Cache) Put(key string, v float64) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -148,11 +113,20 @@ func (c *Cache) Put(key string, v float64) {
 	} else {
 		c.insertLocked(key, v)
 	}
-	back := c.back
 	c.mu.Unlock()
-	if back != nil {
-		back.Store(key, v)
+	if c.st != nil {
+		_ = c.st.Put(key, store.EncodeFloat64(v))
 	}
+}
+
+// load reads key's value from the store; a record that does not decode
+// is a miss.
+func (c *Cache) load(key string) (float64, bool) {
+	data, ok := c.st.Get(key)
+	if !ok {
+		return 0, false
+	}
+	return store.DecodeFloat64(data)
 }
 
 // insertLocked adds a fresh entry, evicting the LRU tail past capacity.
@@ -166,22 +140,13 @@ func (c *Cache) insertLocked(key string, v float64) {
 	}
 }
 
-// Sync blocks until every Put accepted so far is durable in the
-// backing. Memory-only caches return nil immediately.
-func (c *Cache) Sync() error {
-	if c.back == nil {
-		return nil
-	}
-	return c.back.Sync()
-}
-
-// Close flushes and releases the backing. Memory-only caches return nil
+// Close flushes and closes the store. Memory-only caches return nil
 // immediately; the cache must not be used after Close.
 func (c *Cache) Close() error {
-	if c.back == nil {
+	if c.st == nil {
 		return nil
 	}
-	return c.back.Close()
+	return c.st.Close()
 }
 
 // Len returns the number of entries resident in memory.
@@ -195,7 +160,7 @@ func (c *Cache) Len() int {
 type CacheStats struct {
 	Hits     uint64 // Get calls served (DiskHits included)
 	Misses   uint64 // Get calls not served by either layer
-	DiskHits uint64 // hits that needed the backing
+	DiskHits uint64 // hits that needed the store
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -203,68 +168,4 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits}
-}
-
-// jsonDirBacking is the legacy disk layer: one <key>.json file per
-// cell, written atomically. It remains for existing directories and the
-// "json" cache backend flag; NewStoreCache supersedes it.
-type jsonDirBacking struct {
-	dir string
-}
-
-// diskCell is the on-disk JSON schema for one cached cell.
-type diskCell struct {
-	Value float64 `json:"value"`
-}
-
-func (b jsonDirBacking) Load(key string) (float64, bool) {
-	data, err := os.ReadFile(b.path(key))
-	if err != nil {
-		return 0, false
-	}
-	var cell diskCell
-	if json.Unmarshal(data, &cell) != nil {
-		return 0, false
-	}
-	return cell.Value, true
-}
-
-func (b jsonDirBacking) Store(key string, v float64) {
-	if data, err := json.Marshal(diskCell{Value: v}); err == nil {
-		writeFileAtomic(b.path(key), data)
-	}
-}
-
-// Sync is a no-op: every Store is already durable when it returns.
-func (b jsonDirBacking) Sync() error { return nil }
-
-// Close is a no-op: the backing holds no resources.
-func (b jsonDirBacking) Close() error { return nil }
-
-func (b jsonDirBacking) path(key string) string {
-	return filepath.Join(b.dir, key+".json")
-}
-
-// writeFileAtomic writes data via a temp file and rename so readers
-// never observe a partial file. Errors are returned for callers that
-// care (checkpointing) and ignorable for those that don't (cache).
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

@@ -15,10 +15,7 @@ import (
 // between them: every other completion is Cached or Deduped, and both
 // matrices come out bit-identical.
 func TestFlightDedupAcrossEngines(t *testing.T) {
-	cache, err := NewCache(DefaultCacheCapacity, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(DefaultCacheCapacity, nil)
 	fl := NewFlight()
 	var computes int64
 

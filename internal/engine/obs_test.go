@@ -22,10 +22,7 @@ func withObs(t *testing.T) {
 
 func TestProgressEventHealth(t *testing.T) {
 	withObs(t)
-	cache, err := NewCache(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(64, nil)
 	spec := testSpec(2, 3, 2)
 
 	collect := func(opts Options) []ProgressEvent {
@@ -110,10 +107,7 @@ func TestHealthZeroQuantilesWhenDisabled(t *testing.T) {
 // Cache.Stats().
 func TestCacheGaugesMatchCacheStats(t *testing.T) {
 	withObs(t)
-	cache, err := NewCache(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(64, nil)
 	spec := testSpec(3, 2, 2)
 	if _, err := New(Options{Cache: cache}).Run(context.Background(), spec); err != nil {
 		t.Fatal(err)

@@ -13,14 +13,10 @@ import (
 )
 
 // A store-backed cache must persist every Put across Close/reopen on
-// the same directory, bit-exactly — non-finite values included, which
-// the legacy JSON layer cannot represent.
+// the same directory, bit-exactly — non-finite values included.
 func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := NewStoreCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewCache(8, openStore(t, dir))
 	vals := map[string]float64{
 		Key("cell-a"): 42.5,
 		Key("cell-b"): -1.25e-21,
@@ -34,10 +30,7 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := NewStoreCache(1, dir) // capacity 1: force disk reads
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened := NewCache(1, openStore(t, dir)) // capacity 1: force disk reads
 	defer reopened.Close()
 	for k, v := range vals {
 		got, ok := reopened.Get(k)
@@ -49,38 +42,7 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 		}
 	}
 	if st := reopened.Stats(); st.DiskHits == 0 {
-		t.Fatalf("capacity-1 cache served without the backing: %+v", st)
-	}
-}
-
-// A legacy JSON cache directory handed to NewStoreCache is migrated in
-// place: every cell written through the old layer is served bit-exactly
-// by the store-backed cache.
-func TestStoreCacheMigratesLegacyDir(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := NewCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 20)
-	for i := range keys {
-		keys[i] = Key(fmt.Sprintf("legacy-cell-%d", i))
-		legacy.Put(keys[i], float64(i)*3.25)
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := NewStoreCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer migrated.Close()
-	for i, k := range keys {
-		got, ok := migrated.Get(k)
-		if !ok || got != float64(i)*3.25 {
-			t.Fatalf("legacy cell %d: (%v, %v)", i, got, ok)
-		}
+		t.Fatalf("capacity-1 cache served without the store: %+v", st)
 	}
 }
 
@@ -94,7 +56,7 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStoreCacheWith(DefaultCacheCapacity, st)
+	cache := NewCache(DefaultCacheCapacity, st)
 	fl := NewFlight()
 	var computes int64
 
@@ -139,16 +101,13 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 		t.Errorf("cached+deduped %d, want %d", sat, unique)
 	}
 
-	// Everything the campaigns computed is durable after Sync, and a
+	// Everything the campaigns computed is durable after Close, and a
 	// third campaign over a fresh cache on the same store directory is
 	// served entirely from disk.
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := NewStoreCache(DefaultCacheCapacity, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := NewCache(DefaultCacheCapacity, openStore(t, dir))
 	defer resumed.Close()
 	third, err := New(Options{Parallelism: 4, Cache: resumed}).Run(context.Background(), spec)
 	if err != nil {

@@ -227,7 +227,8 @@ func TestMachineDifferences(t *testing.T) {
 
 func TestPowerChannel(t *testing.T) {
 	mc := Core2Duo()
-	pc := PowerChannel(mc)
+	power := Channels()["power"]
+	pc := power.Apply(mc)
 	if err := pc.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +247,9 @@ func TestPowerChannel(t *testing.T) {
 	}
 	// The base machine must be untouched.
 	if mc.Sources[activity.ALU].Diffuse != 0 {
-		t.Error("PowerChannel mutated the base config")
+		t.Error("the power channel mutated the base config")
 	}
-	if err := PowerEnvironment().Validate(); err != nil {
+	if err := power.Environment().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -40,8 +40,7 @@ type CampaignOptions struct {
 	SynthCache *SynthCache
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
-	// finished (pair, repetition) cell — checkpoint-restored and
-	// cache-served cells included. The campaign closes the channel when
+	// finished (pair, repetition) cell — cache-served cells included. The campaign closes the channel when
 	// the run ends, so pass a fresh channel per campaign and drain it
 	// until it closes. Event Row/Col index into the campaign's Events.
 	Monitor chan<- engine.ProgressEvent
@@ -50,7 +49,9 @@ type CampaignOptions struct {
 	// by (machine config, measurement config, event pair, seed,
 	// repetition) — event identity, not matrix position — so campaigns
 	// over different event subsets or orders share work, as do repeated
-	// figures in a distance sweep. Nil uses a fresh in-memory cache.
+	// figures in a distance sweep. Nil uses a fresh in-memory cache. A
+	// cache over a durable store makes the campaign resumable: rerunning
+	// it against the same store serves every finished cell as a hit.
 	Cache *engine.Cache
 	// Flight, when non-nil, deduplicates identical cells in flight
 	// across concurrent campaigns sharing it (and sharing Cache): each
@@ -58,13 +59,6 @@ type CampaignOptions struct {
 	// Used by the campaign service so overlapping submissions never
 	// duplicate work; nil disables it.
 	Flight *engine.Flight
-	// CheckpointPath, when set, persists finished cells there
-	// periodically and when the campaign ends (cancellation included); a
-	// later run with identical campaign parameters resumes from it.
-	CheckpointPath string
-	// CheckpointEvery is the number of finished cells between periodic
-	// checkpoint writes (0 = engine default).
-	CheckpointEvery int
 	// MaxAttempts bounds per-cell measurement attempts for transient
 	// failures (0 = engine default of 3).
 	MaxAttempts int
@@ -87,8 +81,8 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 
 // RunCampaignContext measures the full pairwise SAVAT matrix on the
 // campaign engine: a worker pool fans out the (pair, repetition) cells,
-// a content-addressed cache and optional checkpoint file make the
-// campaign resumable, and transient cell failures are retried.
+// a content-addressed cache (durable when opts.Cache has a store) makes
+// the campaign resumable, and transient cell failures are retried.
 //
 // Every (pair, repetition) gets its own rng seeded from the event
 // identities — not matrix positions — so results are reproducible,
@@ -98,9 +92,8 @@ func RunCampaign(mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixSt
 // reused across repetitions, as the paper's fixed binary was; fully
 // cached pairs never build a kernel at all.
 //
-// Cancelling ctx stops new cells promptly, lets in-flight cells finish,
-// checkpoints what completed (when CheckpointPath is set), and returns
-// the context's error.
+// Cancelling ctx stops new cells promptly, lets in-flight cells finish
+// (and land in the cache), and returns the context's error.
 func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts CampaignOptions) (*MatrixStats, error) {
 	// fail closes the caller's Monitor on paths that never reach the
 	// engine, honoring the "closed when the run ends" contract.
@@ -112,7 +105,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 	// Normalizing first makes the legacy empty channel name and the
 	// explicit "em" the same campaign: same validation, same fingerprint,
-	// same cache and checkpoint cells.
+	// same cache cells.
 	cfg = cfg.Normalized()
 	if err := mc.Validate(); err != nil {
 		return fail(err)
@@ -159,7 +152,6 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 
 	spec := engine.Spec{
 		Rows: n, Cols: n, Reps: opts.Repeats,
-		Fingerprint: campaignFingerprint(mc, cfg, events, opts.Seed, opts.Repeats),
 		Key: func(i, j, r int) string {
 			return cellKeyMaterial(mc, cfg, events[i], events[j], opts.Seed, r)
 		},
@@ -192,14 +184,12 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	}
 
 	eng := engine.New(engine.Options{
-		Parallelism:     opts.Parallelism,
-		MaxAttempts:     opts.MaxAttempts,
-		RetryBackoff:    opts.RetryBackoff,
-		Cache:           opts.Cache,
-		Flight:          opts.Flight,
-		CheckpointPath:  opts.CheckpointPath,
-		CheckpointEvery: opts.CheckpointEvery,
-		Monitor:         opts.Monitor,
+		Parallelism:  opts.Parallelism,
+		MaxAttempts:  opts.MaxAttempts,
+		RetryBackoff: opts.RetryBackoff,
+		Cache:        opts.Cache,
+		Flight:       opts.Flight,
+		Monitor:      opts.Monitor,
 	})
 	res, err := eng.Run(ctx, spec)
 	if err != nil {
@@ -225,11 +215,11 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 }
 
 // campaignFingerprint canonically identifies a campaign: every
-// parameter that determines its cell values, hashed. It binds
-// checkpoint files to exactly one campaign. v3: the measurement
-// configuration carries the channel and countermeasure dimensions
-// (normalized, so the legacy empty channel and "em" fingerprint
-// equal), and v2 entries describe channel-unaware values.
+// parameter that determines its cell values, hashed. It backs
+// CampaignSpec.Fingerprint, the wire identity of a service job. v3: the
+// measurement configuration carries the channel and countermeasure
+// dimensions (normalized, so the legacy empty channel and "em"
+// fingerprint equal), and v2 entries describe channel-unaware values.
 func campaignFingerprint(mc machine.Config, cfg Config, events []Event, seed int64, repeats int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "savat-campaign/v3|machine=%+v|measure=%+v|seed=%d|repeats=%d|events=",

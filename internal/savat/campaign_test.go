@@ -3,12 +3,12 @@ package savat
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/store"
 )
 
 func matricesEqual(t *testing.T, a, b *MatrixStats) {
@@ -26,9 +26,9 @@ func matricesEqual(t *testing.T, a, b *MatrixStats) {
 }
 
 // The acceptance scenario: a campaign killed partway via context
-// cancellation and resumed from its checkpoint yields the same
-// MatrixStats as an uninterrupted run with the same seed, and the
-// resumed run reports > 0 cached cells.
+// cancellation and resumed through a reopened store-backed cache yields
+// the same MatrixStats as an uninterrupted run with the same seed, and
+// every cell the killed run finished is a store hit on resume.
 func TestRunCampaignContextCancelAndResume(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
@@ -44,66 +44,60 @@ func TestRunCampaignContextCancelAndResume(t *testing.T) {
 	}
 
 	// Kill the campaign after the first finished cell.
-	path := filepath.Join(t.TempDir(), "campaign.checkpoint.json")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := make(chan engine.ProgressEvent, 16)
+	finished := 0
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for range ch {
+			finished++
 			cancel()
 		}
 	}()
 	killed := opts
 	killed.Parallelism = 1
-	killed.CheckpointPath = path
-	killed.CheckpointEvery = 1
 	killed.Monitor = ch
-	killed.Cache, _ = engine.NewCache(64, "")
+	killed.Cache = engine.NewCache(64, openStore(t, dir))
 	_, err = RunCampaignContext(ctx, mc, cfg, killed)
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	cp, err := engine.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("no loadable checkpoint after cancellation: %v", err)
+	if err := killed.Cache.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if len(cp.Cells) == 0 {
-		t.Fatal("checkpoint recorded nothing")
+	if finished == 0 || finished == 8 {
+		t.Fatalf("killed campaign finished %d of 8 cells, want a partial run", finished)
 	}
 
-	// Resume with a fresh cache: only the checkpoint carries state.
+	// Resume with a fresh cache over the reopened store: only the store
+	// carries state.
 	resumed := opts
-	resumed.CheckpointPath = path
-	resumed.Cache, _ = engine.NewCache(64, "")
+	resumed.Cache = engine.NewCache(64, openStore(t, dir))
+	defer resumed.Cache.Close()
 	res, err := RunCampaignContext(context.Background(), mc, cfg, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine.Cached == 0 {
-		t.Error("resumed campaign reports no cached cells")
+	if res.Engine.Cached != finished {
+		t.Errorf("resumed campaign cached %d cells, the killed run finished %d", res.Engine.Cached, finished)
 	}
 	matricesEqual(t, ref, res)
 }
 
-// A checkpoint from different campaign parameters must be rejected, not
-// silently mixed in.
-func TestRunCampaignContextCheckpointMismatch(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := FastConfig()
-	path := filepath.Join(t.TempDir(), "cp.json")
-	opts := CampaignOptions{Events: []Event{ADD}, Repeats: 1, Seed: 1, CheckpointPath: path}
-	if _, err := RunCampaign(mc, cfg, opts); err != nil {
+// openStore opens a durable store over dir; the cache built on it owns
+// and closes it.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Seed = 2 // different campaign, same checkpoint file
-	_, err := RunCampaign(mc, cfg, opts)
-	if !errors.Is(err, engine.ErrCheckpointMismatch) {
-		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
-	}
+	return st
 }
 
 // Cells are keyed by event identity, so a campaign over a reordered
@@ -112,10 +106,7 @@ func TestRunCampaignContextCheckpointMismatch(t *testing.T) {
 func TestRunCampaignCellIdentityCache(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
-	cache, err := engine.NewCache(64, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := engine.NewCache(64, nil)
 	opts := CampaignOptions{Events: []Event{ADD, LDM}, Repeats: 2, Seed: 3, Cache: cache}
 	first, err := RunCampaign(mc, cfg, opts)
 	if err != nil {

@@ -80,7 +80,7 @@ func FastConfig() Config {
 // empty Channel becomes "em" (the pre-channel-dimension pipeline).
 // Every campaign entry point normalizes before fingerprinting, so a
 // spec written before the channel field existed keys the same cache
-// and checkpoint cells as one that names "em" explicitly.
+// cells as one that names "em" explicitly.
 func (c Config) Normalized() Config {
 	if c.Channel == "" {
 		c.Channel = "em"

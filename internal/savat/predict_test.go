@@ -105,9 +105,10 @@ func TestPredictErrors(t *testing.T) {
 // and is distance-invariant — both in contrast to the EM channel.
 func TestPowerChannelSAVAT(t *testing.T) {
 	em := machine.Core2Duo()
-	pw := machine.PowerChannel(em)
+	power := machine.Channels()["power"]
+	pw := power.Apply(em)
 	cfg := FastConfig()
-	cfg.Environment = machine.PowerEnvironment()
+	cfg.Environment = power.Environment()
 
 	get := func(mc machine.Config, a, b Event, d float64) float64 {
 		c := cfg

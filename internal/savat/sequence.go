@@ -238,13 +238,16 @@ func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.
 		if ea == eb {
 			continue // matching positions contribute no difference signal
 		}
+		// The floor measurement below reuses the Measurer's scratch-owned
+		// result, so keep the pair's values before taking it.
+		pair, loops := m.SAVAT, m.LoopCount
 		// Subtract that pair's own measurement floor so the estimate sums
 		// difference signal, not repeated noise floors.
 		fl, err := meas.Measure(ea, ea, rng)
 		if err != nil {
 			return 0, 0, err
 		}
-		d := m.SAVAT - fl.SAVAT*float64(fl.LoopCount)/float64(m.LoopCount)
+		d := pair - fl.SAVAT*float64(fl.LoopCount)/float64(loops)
 		if d > 0 {
 			estimated += d
 		}

@@ -29,13 +29,13 @@ const SpecVersion = 2
 // (internal/cliconf) parses flags into it, the campaign daemon
 // (internal/service, cmd/savatd) unmarshals it from request bodies,
 // cmd/savat and cmd/reproduce emit and accept it as a file, and its
-// Fingerprint binds checkpoint files and in-flight cell deduplication
-// to exactly the campaign it describes.
+// Fingerprint identifies service jobs as exactly the campaign they
+// describe.
 //
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
 // nothing about how the campaign is executed (parallelism, caches,
-// checkpoint paths, monitors stay in CampaignOptions). Two specs with
+// monitors stay in CampaignOptions). Two specs with
 // equal fingerprints therefore produce bit-identical matrices on any
 // executor, which is what lets the service deduplicate overlapping
 // submissions cell-by-cell.
@@ -123,8 +123,7 @@ func (s CampaignSpec) GridEvents() []Event {
 
 // Options merges the spec into rt: the spec supplies everything that
 // determines cell values (events, repeats, seed) and rt supplies the
-// runtime-only knobs (parallelism, cache, checkpointing, monitor,
-// retry policy). Values already present in rt's identity fields are
+// runtime-only knobs (parallelism, cache, monitor, retry policy). Values already present in rt's identity fields are
 // overwritten — the spec is the single source of truth.
 func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
 	rt.Events = s.GridEvents()
@@ -133,10 +132,9 @@ func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
 	return rt
 }
 
-// Fingerprint canonically identifies the campaign the spec describes —
-// the same value RunSpecContext hands the engine, so checkpoint files
-// and service jobs key on it. Two specs fingerprint equal exactly when
-// they produce bit-identical matrices.
+// Fingerprint canonically identifies the campaign the spec describes;
+// service jobs carry it as their wire identity. Two specs fingerprint
+// equal exactly when they produce bit-identical matrices.
 func (s CampaignSpec) Fingerprint() (string, error) {
 	mc, err := s.MachineConfig()
 	if err != nil {
@@ -193,8 +191,8 @@ func RunSpec(spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
 // RunSpecContext measures the campaign a spec describes on the engine,
 // with rt supplying the runtime-only options (see CampaignSpec.Options).
 // It is the spec-shaped face of RunCampaignContext: for equal specs the
-// two produce bit-identical matrices regardless of executor, cache
-// state, or checkpoint history.
+// two produce bit-identical matrices regardless of executor or cache
+// state.
 func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
 	if err := spec.Validate(); err != nil {
 		if rt.Monitor != nil {

@@ -172,7 +172,7 @@ func TestCampaignSpecFingerprint(t *testing.T) {
 	}
 
 	// The legacy empty channel and the explicit "em" describe the same
-	// campaign: same fingerprint, so v1-era checkpoints stay usable.
+	// campaign: same fingerprint, so v1-era service jobs match.
 	em := base
 	em.Config.Channel = "em"
 	legacy := base
@@ -200,7 +200,7 @@ func TestSpecVersionGoldenRoundTrip(t *testing.T) {
 	}
 	// The v1 file is the default campaign at the paper's setup with a
 	// 3-event grid; its normalized form must equal the same spec written
-	// natively in v2 — including the fingerprint that keys checkpoints.
+	// natively in v2 — including the fingerprint that identifies jobs.
 	want := DefaultCampaignSpec()
 	want.Events = []Event{ADD, LDM, DIV}
 	want.Repeats = 3

@@ -34,13 +34,14 @@ type errorResponse struct {
 
 // Handler serves the campaign API:
 //
-//	POST   /v1/campaigns              submit a campaign spec → job
+//	POST   /v1/campaigns              submit a campaign spec → job (body
+//	                                  at most 1 MiB, else 413)
 //	GET    /v1/campaigns              list jobs
 //	GET    /v1/campaigns/{id}         job status, stats, health
 //	GET    /v1/campaigns/{id}/events  progress stream (NDJSON; SSE with
 //	                                  Accept: text/event-stream)
 //	GET    /v1/campaigns/{id}/result  completed job's matrix
-//	DELETE /v1/campaigns/{id}         cancel (checkpointed for resume)
+//	DELETE /v1/campaigns/{id}         cancel (finished cells kept for resume)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
@@ -52,11 +53,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a POST /v1/campaigns body. The largest spec in
+// the repository is about 1.3 KB, so 1 MiB admits any real submission
+// while a hostile body is cut off before it is buffered.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("service: request body exceeds %d bytes", maxSubmitBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: request body: %w", err))
 		return
 	}

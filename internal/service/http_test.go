@@ -289,5 +289,57 @@ func TestHTTPErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+
+	// An oversized body is cut off at maxSubmitBytes with 413 and never
+	// becomes a job.
+	huge := `{"spec": {"machine": "` + strings.Repeat("x", maxSubmitBytes) + `"}}`
+	resp, err = http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("oversized body: error body missing (%v)", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(s.List()); n != 1 {
+		t.Errorf("%d jobs after the oversized submit, want 1", n)
+	}
 	awaitDone(t, s, jb.ID)
+}
+
+// FuzzSubmitBody throws arbitrary bodies at POST /v1/campaigns. Whatever
+// the bytes, the handler must not panic and must answer 202 or a 4xx.
+// The server's run slots are held full, so an accepted spec only queues:
+// the target exercises admission, never a campaign.
+func FuzzSubmitBody(f *testing.F) {
+	valid, err := json.Marshal(smokeSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"spec": ` + string(valid) + `, "tenant": "t", "priority": 2}`))
+	f.Add([]byte(`{"spec": {"machine": "Cray1"}}`))
+	f.Add([]byte(`{"spec": {"machine": "Core2Duo", "sede": 1}}`))
+	f.Add([]byte(`{"spec": null}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.mu.Lock()
+		s.active = s.opts.MaxActive
+		s.mu.Unlock()
+
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/campaigns", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted && (w.Code < 400 || w.Code > 499) {
+			t.Fatalf("status %d for body %q", w.Code, body)
+		}
+	})
 }

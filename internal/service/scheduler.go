@@ -110,11 +110,10 @@ func (s *Server) runJob(ctx context.Context, j *job, monitor chan<- engine.Progr
 	defer j.cancel()
 
 	res, err := savat.RunSpecContext(ctx, j.spec, savat.CampaignOptions{
-		Parallelism:    s.opts.Parallelism,
-		Cache:          s.cache,
-		Flight:         s.flight,
-		CheckpointPath: s.checkpointPath(j),
-		Monitor:        monitor,
+		Parallelism: s.opts.Parallelism,
+		Cache:       s.cache,
+		Flight:      s.flight,
+		Monitor:     monitor,
 	})
 	// The campaign closed the monitor; wait for the relay to drain it so
 	// subscribers see every event before their channels close.
@@ -127,9 +126,9 @@ func (s *Server) runJob(ctx context.Context, j *job, monitor chan<- engine.Progr
 	case err == nil:
 		s.finishLocked(j, StateDone, res, nil)
 	case ctx.Err() != nil:
-		// Cancelled via Cancel or Close. Completed cells are already
-		// checkpointed (the engine writes on cancellation), so a later
-		// submission of the same spec resumes.
+		// Cancelled via Cancel or Close. Completed cells are already in
+		// the shared cache, so a later submission of the same spec
+		// resumes.
 		s.finishLocked(j, StateCancelled, nil, context.Canceled)
 	default:
 		s.finishLocked(j, StateFailed, nil, err)

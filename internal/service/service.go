@@ -4,28 +4,29 @@
 // campaign it runs, so concurrent submissions that overlap — identical
 // campaigns, or campaigns sharing cells — compute each distinct cell
 // exactly once between them. Jobs are queued with per-tenant fair
-// scheduling, stream typed progress events while they run, and are
-// checkpointed under the server's state directory keyed by the spec's
-// fingerprint, so a cancelled campaign resumes where it stopped when
-// the same spec is submitted again.
+// scheduling and stream typed progress events while they run. Every
+// finished cell lands in the shared cache — durable under the server's
+// state directory — so a cancelled or killed campaign resumes where it
+// stopped when the same spec is submitted again: its finished cells are
+// cache hits.
 //
 // The unit of work everywhere is savat.CampaignSpec: the HTTP layer
 // unmarshals one from request bodies, Submit validates it with the same
-// savat-side call the CLI uses, and its fingerprint binds checkpoints
-// and deduplication to exactly the campaign it describes.
+// savat-side call the CLI uses, and its fingerprint identifies the job
+// as exactly the campaign it describes.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/savat"
+	"repro/internal/store"
 )
 
 // Sentinel errors; test with errors.Is.
@@ -51,9 +52,10 @@ const (
 	StateDone State = "done"
 	// StateFailed: finished with an error (recorded on the job).
 	StateFailed State = "failed"
-	// StateCancelled: cancelled before completion. Completed cells are
-	// checkpointed (when the server has a state directory), so
-	// resubmitting the same spec resumes instead of restarting.
+	// StateCancelled: cancelled before completion. Completed cells stay
+	// in the shared cache (durable when the server has a state
+	// directory), so resubmitting the same spec resumes instead of
+	// restarting.
 	StateCancelled State = "cancelled"
 )
 
@@ -65,10 +67,10 @@ func (s State) Terminal() bool {
 // Options configure a Server.
 type Options struct {
 	// StateDir, when non-empty, roots the server's persistent state:
-	// the disk layer of the result cache (StateDir/cache) and per-spec
-	// checkpoint files (StateDir/checkpoints/<fingerprint>.json). Empty
-	// keeps everything in memory — jobs then cannot resume across
-	// server restarts or cancellations.
+	// the durable store of the result cache (StateDir/cache). Empty
+	// keeps everything in memory — jobs then resume after a
+	// cancellation only while the server runs, and never across
+	// restarts.
 	StateDir string
 	// MaxActive bounds concurrently running campaigns (0 = 2). The
 	// campaigns share one process-wide worker budget (see workpool), so
@@ -141,8 +143,7 @@ type Server struct {
 // New builds a Server. With a StateDir, the shared result cache gets
 // its durable layer under StateDir/cache: the append-only segment log
 // of internal/store, batching cell writes off the campaign workers'
-// path. A StateDir written by an older build (one JSON file per cell)
-// is migrated into the log on first open. Close flushes it.
+// path. Close flushes it.
 func New(opts Options) (*Server, error) {
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = 2
@@ -150,22 +151,17 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheCapacity <= 0 {
 		opts.CacheCapacity = engine.DefaultCacheCapacity
 	}
-	var cache *engine.Cache
+	var st *store.Store
 	if opts.StateDir != "" {
-		if err := os.MkdirAll(filepath.Join(opts.StateDir, "checkpoints"), 0o755); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
 		var err error
-		cache, err = engine.NewStoreCache(opts.CacheCapacity, filepath.Join(opts.StateDir, "cache"))
+		st, err = store.Open(filepath.Join(opts.StateDir, "cache"), store.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-	} else {
-		cache, _ = engine.NewCache(opts.CacheCapacity, "") // memory-only: cannot fail
 	}
 	return &Server{
 		opts:   opts,
-		cache:  cache,
+		cache:  engine.NewCache(opts.CacheCapacity, st),
 		flight: engine.NewFlight(),
 		jobs:   make(map[string]*job),
 	}, nil
@@ -257,8 +253,8 @@ func (s *Server) Result(id string) (*savat.MatrixStats, error) {
 }
 
 // Cancel stops a job: a queued job is cancelled in place, a running
-// job's context is cancelled (its completed cells are checkpointed by
-// the engine, so resubmitting the same spec resumes). Cancelling a
+// job's context is cancelled (its completed cells stay in the shared
+// cache, so resubmitting the same spec resumes). Cancelling a
 // terminal job is a no-op. Returns the post-cancel snapshot.
 func (s *Server) Cancel(id string) (Job, error) {
 	s.mu.Lock()
@@ -323,9 +319,10 @@ func (s *Server) Subscribe(id string) (<-chan engine.ProgressEvent, func(), erro
 }
 
 // Close stops the server: no new submissions, queued jobs are
-// cancelled, running campaigns are cancelled (and checkpointed), Close
-// blocks until they have wound down, and the shared result cache's
-// durable layer is flushed and released.
+// cancelled, running campaigns are cancelled, Close blocks until they
+// have wound down, and the shared result cache's durable layer is
+// flushed and released, so resubmitting them to a restarted server
+// resumes them.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -340,16 +337,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.cache.Close()
-}
-
-// checkpointPath returns the job's checkpoint file ("" without a
-// state directory). Keyed by the spec fingerprint — not the job id — so
-// any later job for the same spec resumes from it.
-func (s *Server) checkpointPath(j *job) string {
-	if s.opts.StateDir == "" {
-		return ""
-	}
-	return filepath.Join(s.opts.StateDir, "checkpoints", j.fp+".json")
 }
 
 // finishLocked moves a job to a terminal state and releases its

@@ -148,11 +148,11 @@ func TestResultBeforeDone(t *testing.T) {
 	awaitDone(t, s, second.ID)
 }
 
-// Cancelling a queued job never runs it; cancelling a running job with
-// a state directory checkpoints it, and resubmitting the same spec
-// resumes — the resumed job's computed count plus the checkpoint's
-// restored cells cover the grid, and the final matrix is bit-identical
-// to a direct run.
+// Cancelling a running job with a state directory keeps its finished
+// cells in the durable store: a server reopened on the same directory
+// resumes the resubmitted spec with exactly those cells as cache hits,
+// computes only the rest, and serves a matrix bit-identical to a
+// direct run.
 func TestCancelAndResume(t *testing.T) {
 	dir := t.TempDir()
 	s := newServer(t, Options{StateDir: dir, MaxActive: 1, Parallelism: 1})
@@ -195,8 +195,10 @@ func TestCancelAndResume(t *testing.T) {
 		t.Fatalf("idempotent cancel: %+v, %v", again, err)
 	}
 
-	// Resubmit the identical spec: the checkpoint (keyed by the spec
-	// fingerprint) restores the finished cells.
+	// Reopen the state directory in a new server and resubmit the
+	// identical spec: the store serves the finished cells.
+	s.Close()
+	s = newServer(t, Options{StateDir: dir, MaxActive: 1, Parallelism: 1})
 	resumed, err := s.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +214,12 @@ func TestCancelAndResume(t *testing.T) {
 	if final.Stats.Done != total {
 		t.Errorf("resumed done %d, want %d", final.Stats.Done, total)
 	}
-	if final.Stats.Cached == 0 {
-		t.Error("resume restored nothing despite the checkpoint")
+	if final.Stats.Cached != cancelled.Stats.Done || final.Stats.Computed != total-cancelled.Stats.Done {
+		t.Errorf("resumed %d cached + %d computed; the cancelled job finished %d of %d",
+			final.Stats.Cached, final.Stats.Computed, cancelled.Stats.Done, total)
+	}
+	if cancelled.Stats.Done == 0 {
+		t.Error("the cancelled job finished no cells to resume from")
 	}
 
 	res, err := s.Result(resumed.ID)

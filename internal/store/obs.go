@@ -15,6 +15,5 @@ var (
 	mAppendBytes  = obs.Default.Counter("store.append.bytes")
 	mCompactions  = obs.Default.Counter("store.compactions")
 	mTruncations  = obs.Default.Counter("store.truncations")
-	mMigrated     = obs.Default.Counter("store.migrated")
 	mSegments     = obs.Default.Gauge("store.segments")
 )

@@ -7,10 +7,7 @@
 // a size threshold, so callers on the measurement hot path never wait
 // for a syscall — while reads are served from the buffer or by a single
 // pread through the index. Superseded records are dropped by rewriting
-// the live ones (compaction), and opening a directory that still holds
-// the legacy one-JSON-file-per-cell cache layout imports those cells
-// into the first segment once, so existing cache directories keep
-// working.
+// the live ones (compaction).
 //
 // Durability contract: everything written before a successful Sync (or
 // Close) survives a crash; a torn or bit-flipped tail is detected by
@@ -153,9 +150,8 @@ func DecodeRecord(data []byte) (key string, val []byte, n int, err error) {
 }
 
 // EncodeFloat64 encodes a float64 value as its 8 IEEE-754 bits, little
-// endian — the value codec the engine's store-backed cache uses.
-// Unlike the legacy JSON cell files it round-trips every bit pattern,
-// non-finite values included.
+// endian — the value codec the engine's store-backed cache uses. It
+// round-trips every bit pattern, non-finite values included.
 func EncodeFloat64(v float64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))

@@ -107,7 +107,6 @@ type Store struct {
 	batchedRecs uint64
 	compactions uint64
 	truncations int
-	migrated    int
 }
 
 // Stats is a point-in-time snapshot of the store's traffic and shape.
@@ -118,17 +117,14 @@ type Stats struct {
 	Syscalls       uint64 // write-path syscalls issued since Open
 	Compactions    uint64
 	Truncations    int // torn/corrupt tails truncated during Open
-	MigratedCells  int // legacy JSON cells imported during Open
 	Records        int // live keys in the index
 	Segments       int
 	SealedRecords  int // records in sealed segments
 	SealedDead     int // superseded records in sealed segments
 }
 
-// Open opens (creating if needed) the store rooted at dir. A directory
-// holding the legacy one-JSON-file-per-cell cache layout is migrated
-// into the log first; segment files are then replayed to rebuild the
-// index, truncating any torn tail. The returned store has a running
+// Open opens (creating if needed) the store rooted at dir. Segment
+// files are replayed to rebuild the index, truncating any torn tail. The returned store has a running
 // flusher; Close it to drain and release it.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.defaults()
@@ -154,9 +150,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.sys(1)
 	}
 
-	if err := s.migrateJSONDir(); err != nil {
-		return nil, err
-	}
 	if err := s.replay(); err != nil {
 		s.closeFiles()
 		return nil, err
@@ -462,7 +455,6 @@ func (s *Store) Stats() Stats {
 		Syscalls:       atomic.LoadUint64(&s.syscalls),
 		Compactions:    s.compactions,
 		Truncations:    s.truncations,
-		MigratedCells:  s.migrated,
 		Records:        len(s.index),
 		Segments:       len(s.segs),
 	}
