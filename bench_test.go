@@ -205,7 +205,7 @@ func spectrumBench(b *testing.B, a, ev savat.Event) {
 	cfg := savat.FastConfig()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(1))
-		m, err := savat.NewMeasurer(mc, cfg).Measure(a, ev, rng)
+		m, err := savat.NewMeasurer(mc, cfg, savat.WithTrace()).Measure(a, ev, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,6 +34,8 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"strconv"
+	"strings"
 
 	"repro/internal/benchfmt"
 )
@@ -68,6 +70,14 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	cur, err := benchfmt.Parse(in)
 	if err != nil {
 		return err
+	}
+	// go test names a benchmark BenchmarkX-N when GOMAXPROCS is N > 1;
+	// guard it as BenchmarkX, so anchored -only/-zeroalloc patterns and
+	// baseline lookups work on any host.
+	for _, f := range []*benchfmt.File{&base, cur} {
+		for i := range f.Benchmarks {
+			f.Benchmarks[i].Name = stripProcs(f.Benchmarks[i].Name)
+		}
 	}
 	// A -count run yields one line per repetition; guard the mean, like
 	// the baselines record it.
@@ -138,4 +148,18 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	}
 	fmt.Fprintf(out, "benchguard: %d benchmarks within budget\n", compared)
 	return nil
+}
+
+// stripProcs drops a trailing -N GOMAXPROCS suffix from a benchmark
+// name: BenchmarkMeasureKernelScratch-2 → BenchmarkMeasureKernelScratch.
+// A non-numeric tail (BenchmarkPlanFor/new-plan) is part of the name.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }

@@ -113,3 +113,40 @@ func TestZeroAllocAssertion(t *testing.T) {
 		t.Fatalf("missing allocs/op metric accepted on a zero-alloc site:\n%s", out)
 	}
 }
+
+// go test appends -N to benchmark names when GOMAXPROCS is N > 1. The
+// guard must still find the benchmark under its anchored name, compare
+// it to the suffix-free baseline, and apply the zero-alloc assertion.
+func TestGOMAXPROCSSuffixStripped(t *testing.T) {
+	var out strings.Builder
+	benchOut := "BenchmarkMeasureKernelScratch-2 20 1000000 ns/op 48 B/op 2 allocs/op\n" +
+		"BenchmarkDisabledCounter-2 1000 3 ns/op 0 B/op 0 allocs/op\n"
+	err := run(strings.NewReader(benchOut), &out, writeBaseline(t), 0.01, 0,
+		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled")
+	if err == nil {
+		t.Fatalf("2 allocs/op on BenchmarkMeasureKernelScratch-2 accepted:\n%s", out.String())
+	}
+	for _, want := range []string{
+		"FAIL BenchmarkMeasureKernelScratch",
+		"ok   BenchmarkMeasureKernelScratch",
+		"ok   BenchmarkDisabledCounter",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	out.Reset()
+	clean := "BenchmarkMeasureKernelScratch-2 20 1000000 ns/op 0 B/op 0 allocs/op\n" +
+		"BenchmarkDisabledCounter-2 1000 3 ns/op 0 B/op 0 allocs/op\n"
+	if err := run(strings.NewReader(clean), &out, writeBaseline(t), 0.01, 0,
+		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled"); err != nil {
+		t.Fatalf("suffixed benchmarks within budget rejected: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "3 benchmarks within budget") {
+		t.Errorf("want the ns/op and both zero-alloc checks counted:\n%s", out.String())
+	}
+	if got := stripProcs("BenchmarkPlanFor/new-plan"); got != "BenchmarkPlanFor/new-plan" {
+		t.Errorf("non-numeric tail stripped: %q", got)
+	}
+}

@@ -201,7 +201,7 @@ func (r *runner) spectrum(a, b savat.Event, caption string) error {
 	mc := machine.Core2Duo()
 	cfg := r.cfgBase
 	rng := rand.New(rand.NewSource(r.seed))
-	m, err := savat.NewMeasurer(mc, cfg).Measure(a, b, rng)
+	m, err := savat.NewMeasurer(mc, cfg, savat.WithTrace()).Measure(a, b, rng)
 	if err != nil {
 		return err
 	}

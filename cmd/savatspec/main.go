@@ -57,7 +57,7 @@ func run() error {
 	cfg := savat.DefaultConfig()
 	cfg.Distance = *distance
 	rng := rand.New(rand.NewSource(*seed))
-	m, err := savat.NewMeasurer(mc, cfg).Measure(a, b, rng)
+	m, err := savat.NewMeasurer(mc, cfg, savat.WithTrace()).Measure(a, b, rng)
 	if err != nil {
 		return err
 	}

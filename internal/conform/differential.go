@@ -195,13 +195,19 @@ func RunStreamingDifferential(specs []DiffSpec) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: build kernel: %w", s.Name, err)
 		}
-		sm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream)).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
+		sm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream), savat.WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: streaming path: %w", s.Name, err)
 		}
-		bm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(buffered), savat.WithBuffered()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
+		bm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(buffered), savat.WithBuffered(), savat.WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: buffered path: %w", s.Name, err)
+		}
+		// The default, band-only route on the same scratch: it assembles
+		// only the band's bins and must land on the traced value exactly.
+		bo, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream)).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
+		if err != nil {
+			return nil, fmt.Errorf("conform: %s: band-only path: %w", s.Name, err)
 		}
 		name := "streaming/" + s.Name
 		r.Add(Check{
@@ -209,6 +215,12 @@ func RunStreamingDifferential(specs []DiffSpec) (*Report, error) {
 			Pass: sm.SAVAT == bm.SAVAT && sm.BandPower == bm.BandPower,
 			Detail: fmt.Sprintf("streaming %.17g zJ vs buffered %.17g zJ (band %.17g vs %.17g W)",
 				sm.ZJ(), bm.ZJ(), sm.BandPower, bm.BandPower),
+		})
+		r.Add(Check{
+			Name: name + "/band-only",
+			Pass: bo.SAVAT == sm.SAVAT && bo.BandPower == sm.BandPower && bo.Trace == nil,
+			Detail: fmt.Sprintf("band-only %.17g zJ vs traced %.17g zJ (band %.17g vs %.17g W)",
+				bo.ZJ(), sm.ZJ(), bo.BandPower, sm.BandPower),
 		})
 		sp, bp := sm.Trace.Spectrum.PSD, bm.Trace.Spectrum.PSD
 		mismatch, firstBin := 0, -1
@@ -264,19 +276,18 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 		}
 		seeds := savat.CampaignSeeds(s.Seed, s.A, 0)
 
-		cold, err := savat.NewMeasurer(s.Machine, s.Config).MeasureKernelSeeds(kAC, seeds)
+		cold, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithTrace()).MeasureKernelSeeds(kAC, seeds)
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: cold cell: %w", s.Name, err)
 		}
-		coldSAVAT, coldBand := cold.SAVAT, cold.BandPower
-		coldPSD := append([]float64(nil), cold.Trace.Spectrum.PSD...)
+		coldPSD := cold.Trace.Spectrum.PSD
 
 		cache := savat.NewSynthCache(8)
 		if _, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
 			MeasureKernelSeeds(kAB, seeds); err != nil {
 			return nil, fmt.Errorf("conform: %s: cache-priming cell: %w", s.Name, err)
 		}
-		warm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache)).
+		warm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithSynthCache(cache), savat.WithTrace()).
 			MeasureKernelSeeds(kAC, seeds)
 		if err != nil {
 			return nil, fmt.Errorf("conform: %s: warm cell: %w", s.Name, err)
@@ -285,9 +296,9 @@ func RunCacheDifferential(specs []DiffSpec) (*Report, error) {
 		name := "cache/" + s.Name
 		r.Add(Check{
 			Name: name + "/savat",
-			Pass: warm.SAVAT == coldSAVAT && warm.BandPower == coldBand,
+			Pass: warm.SAVAT == cold.SAVAT && warm.BandPower == cold.BandPower,
 			Detail: fmt.Sprintf("warm %.17g zJ vs cold %.17g zJ (band %.17g vs %.17g W)",
-				warm.ZJ(), coldSAVAT*1e21, warm.BandPower, coldBand),
+				warm.ZJ(), cold.ZJ(), warm.BandPower, cold.BandPower),
 		})
 		wp := warm.Trace.Spectrum.PSD
 		mismatch, firstBin := 0, -1

@@ -63,8 +63,8 @@ func TestGoldenMatrix(t *testing.T) {
 	}
 }
 
-func goldenPSDMeasure() (*savat.Measurement, error) {
-	return savat.NewMeasurer(machine.Core2Duo(), savat.FastConfig()).Measure(savat.LDM, savat.NOI,
+func goldenPSDMeasure() (savat.Measurement, error) {
+	return savat.NewMeasurer(machine.Core2Duo(), savat.FastConfig(), savat.WithTrace()).Measure(savat.LDM, savat.NOI,
 		rand.New(rand.NewSource(goldenSeed)))
 }
 
@@ -99,7 +99,7 @@ func TestGoldenPSD(t *testing.T) {
 // channelCellMeasure measures the golden LDM/NOI cell through a named
 // side channel with the channel's canonical noise environment — the
 // same configuration the flag layer builds for -channel.
-func channelCellMeasure(t *testing.T, channel string) *savat.Measurement {
+func channelCellMeasure(t *testing.T, channel string) savat.Measurement {
 	t.Helper()
 	ch, err := machine.ChannelByName(channel)
 	if err != nil {
@@ -108,7 +108,7 @@ func channelCellMeasure(t *testing.T, channel string) *savat.Measurement {
 	cfg := savat.FastConfig()
 	cfg.Channel = channel
 	cfg.Environment = ch.Environment()
-	m, err := savat.NewMeasurer(machine.Core2Duo(), cfg).Measure(savat.LDM, savat.NOI,
+	m, err := savat.NewMeasurer(machine.Core2Duo(), cfg, savat.WithTrace()).Measure(savat.LDM, savat.NOI,
 		rand.New(rand.NewSource(goldenSeed)))
 	if err != nil {
 		t.Fatal(err)

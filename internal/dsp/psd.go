@@ -31,12 +31,16 @@ func (s *Spectrum) Freq(k int) float64 {
 // BinFor returns the bin index whose center is closest to f. f may be
 // negative; it must lie within ±fs/2.
 func (s *Spectrum) BinFor(f float64) (int, error) {
-	n := len(s.PSD)
-	half := s.SampleRate / 2
+	return binFor(len(s.PSD), s.SampleRate, f)
+}
+
+// binFor is BinFor for an n-bin spectrum at sample rate fs.
+func binFor(n int, fs, f float64) (int, error) {
+	half := fs / 2
 	if f < -half || f >= half {
 		return 0, fmt.Errorf("dsp: frequency %g outside ±%g", f, half)
 	}
-	k := int(math.Round(f / s.BinWidth()))
+	k := int(math.Round(f / (fs / float64(n))))
 	if k < 0 {
 		k += n
 	}
@@ -46,22 +50,33 @@ func (s *Spectrum) BinFor(f float64) (int, error) {
 	return k, nil
 }
 
+// BandBins returns the bins BandPower reads to integrate [lo, hi] Hz on
+// an n-bin spectrum at sample rate fs: klo through khi inclusive,
+// wrapping through bin 0 when klo > khi. Callers that assemble only
+// those bins of a display see exactly the bins, and the errors, that
+// BandPower over the full display would.
+func BandBins(n int, fs, lo, hi float64) (klo, khi int, err error) {
+	if hi < lo {
+		return 0, 0, fmt.Errorf("dsp: inverted band [%g,%g]", lo, hi)
+	}
+	if klo, err = binFor(n, fs, lo); err != nil {
+		return 0, 0, err
+	}
+	if khi, err = binFor(n, fs, hi); err != nil {
+		return 0, 0, err
+	}
+	return klo, khi, nil
+}
+
 // BandPower integrates the PSD over [lo, hi] (Hz, may span zero) and
 // returns total power in watts.
 func (s *Spectrum) BandPower(lo, hi float64) (float64, error) {
-	if hi < lo {
-		return 0, fmt.Errorf("dsp: inverted band [%g,%g]", lo, hi)
-	}
-	klo, err := s.BinFor(lo)
-	if err != nil {
-		return 0, err
-	}
-	khi, err := s.BinFor(hi)
+	n := len(s.PSD)
+	klo, khi, err := BandBins(n, s.SampleRate, lo, hi)
 	if err != nil {
 		return 0, err
 	}
 	bw := s.BinWidth()
-	n := len(s.PSD)
 	total := 0.0
 	for k := klo; ; k = (k + 1) % n {
 		total += s.PSD[k] * bw

@@ -133,10 +133,10 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 	kernels := make([]*Kernel, n*n)
 	kernelErrs := make([]error, n*n)
 	kernelOnce := make([]sync.Once, n*n)
-	kernelFor := func(i, j int) (*Kernel, error) {
+	kernelFor := func(m *Measurer, i, j int) (*Kernel, error) {
 		p := i*n + j
 		kernelOnce[p].Do(func() {
-			k, err := BuildKernel(mc, events[i], events[j], cfg.Frequency)
+			k, err := m.buildKernel(events[i], events[j])
 			if err == nil {
 				// The chain's program countermeasures rewrite the pair's
 				// kernel once, deterministically (CounterSeed) — the
@@ -171,11 +171,12 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 				WithSynthCache(cache), WithArena(arena.New()))
 		},
 		ComputeState: func(_ context.Context, state any, i, j, r int) (float64, error) {
-			k, err := kernelFor(i, j)
+			meas := state.(*Measurer)
+			k, err := kernelFor(meas, i, j)
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v: %w", events[i], events[j], err)
 			}
-			m, err := state.(*Measurer).MeasureKernelSeeds(k, CampaignSeeds(opts.Seed, events[i], r))
+			m, err := meas.MeasureKernelSeeds(k, CampaignSeeds(opts.Seed, events[i], r))
 			if err != nil {
 				return 0, fmt.Errorf("savat: cell %v/%v rep %d: %w", events[i], events[j], r, err)
 			}

@@ -138,12 +138,15 @@ type Measurement struct {
 	// ActualFrequency is the achieved alternation frequency (cycle-level;
 	// the additional run-time drift appears in the spectrum, not here).
 	ActualFrequency float64
-	// Trace is the recorded spectrum (for the Figure 7/8 plots).
+	// Trace is the recorded spectrum (for the Figure 7/8 plots). It is
+	// set only by a Measurer built with WithTrace, and is then owned by
+	// the caller: no later measurement writes to it. Without WithTrace
+	// the measurement assembles only the band's bins and Trace is nil.
 	Trace *specan.Trace
 }
 
 // ZJ returns the SAVAT value in zeptojoules (10⁻²¹ J), the paper's unit.
-func (m *Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
+func (m Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 
 // measureKernelReference is the direct-rendering measurement pipeline:
 // every coherence group rendered in the time domain from the canonical
@@ -152,10 +155,11 @@ func (m *Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 // per-stage seeds and computes the same quantity as the fast path —
 // equivalence tests hold the two within 1e-9 relative — and remains
 // the readable specification of the pipeline as well as the ablations'
-// entry point.
-func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (*Measurement, error) {
+// entry point. It always analyzes the full spectrum; the trace is
+// returned only when trace is set.
+func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, trace bool, mo *measureObs) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
@@ -163,7 +167,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	alt, err := k.Alternation(mc, cfg.WarmupPeriods, cfg.MeasurePeriods)
 	altSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 2. Radiate: per-component coupling at the measurement distance
@@ -178,7 +182,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	actual := emsim.Alternation{
 		Rates:       [2]activity.Vector{alt.PhaseStats[0].MeanRates, alt.PhaseStats[1].MeanRates},
@@ -191,7 +195,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	}
 	amps, err := rad.PhaseAmplitudes(actual, cfg.SampleRate)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	duty := complex(emsim.DutyAmplitudeFactor(actual.Duty()), 0)
 	active := 0
@@ -211,7 +215,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 		envs, err := emsim.SynthesizeEnvelopes(emsim.CanonicalTimeline(cfg.Frequency),
 			cfg.SampleRate, n, jit, rand.New(rand.NewSource(seeds.Env)), nil)
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 		for g := 0; g < emsim.NumGroups; g++ {
 			if amps[g][0] == 0 && amps[g][1] == 0 {
@@ -229,7 +233,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	err = cfg.Environment.Apply(noiseStream, cfg.SampleRate, rand.New(rand.NewSource(seeds.Noise)))
 	synSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	streams = append(streams, noiseStream)
 
@@ -237,26 +241,20 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// Group signals and noise are mutually incoherent: powers add.
 	an, err := specan.New(cfg.Analyzer)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	tr, err := an.AnalyzeIncoherent(streams, cfg.SampleRate)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
+	}
+	if !trace {
+		tr = nil
 	}
 
 	// 5. Energy per A/B instruction pair.
-	pairs := alt.PairsPerSecond()
-	return &Measurement{
-		A: k.A, B: k.B,
-		SAVAT:           p / pairs,
-		BandPower:       p,
-		PairsPerSecond:  pairs,
-		LoopCount:       k.LoopCount,
-		ActualFrequency: alt.ActualFrequency(),
-		Trace:           tr,
-	}, nil
+	return finish(k, alt, p, tr), nil
 }

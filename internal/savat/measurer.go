@@ -48,16 +48,18 @@ const (
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
 //	WithObs(r)         stage metrics on a private obs.Registry
+//	WithTrace()        also return the full spectrum trace (Figure 7/8 plots)
 //
-// A Measurer reuses one scratch across its measurements, so the
-// returned Measurement's Trace aliases that scratch and is valid only
-// until the Measurer's next measurement; callers that keep traces use
-// one Measurer per retained trace. A Measurer is NOT safe for
-// concurrent use — the campaign engine gives each worker its own.
+// Measurements are returned by value and share no memory with the
+// Measurer: by default they carry the band power and SAVAT value only,
+// computed from the band's spectrum bins alone; WithTrace adds a fresh
+// trace the caller owns. A Measurer is NOT safe for concurrent use —
+// the campaign engine gives each worker its own.
 type Measurer struct {
 	mc      machine.Config
 	cfg     Config
 	mode    measureMode
+	trace   bool
 	scratch *MeasureScratch
 	pool    *workpool.Pool
 	mobs    *measureObs
@@ -71,11 +73,11 @@ type Measurer struct {
 	// empty chain the effective setup IS (mc, cfg) value-for-value, which
 	// is what keeps the redesigned seam bit-identical to the old
 	// pipeline.
-	resolved       bool
-	effMC          machine.Config
-	effCfg         Config
-	effLaw         emsim.DistanceLaw
-	effErr         error
+	resolved bool
+	effMC    machine.Config
+	effCfg   Config
+	effLaw   emsim.DistanceLaw
+	effErr   error
 
 	// Synthesis-product cache key prefixes: every key parameter except
 	// the stage seed is fixed by the effective (mc, cfg), so the
@@ -102,6 +104,16 @@ func WithScratch(s *MeasureScratch) MeasureOption {
 // wanted.
 func WithBuffered() MeasureOption {
 	return func(m *Measurer) { m.mode = modeBuffered }
+}
+
+// WithTrace makes every Measurement carry its full display spectrum in
+// Measurement.Trace — a fresh trace per measurement, owned by the
+// caller. Without it the pipeline assembles only the spectrum bins the
+// band power reads, which is what campaigns and every caller that
+// needs only SAVAT values want; the values are bit-identical either
+// way.
+func WithTrace() MeasureOption {
+	return func(m *Measurer) { m.trace = true }
 }
 
 // WithReference selects the direct-rendering reference pipeline: every
@@ -214,20 +226,28 @@ func (m *Measurer) resolve() (machine.Config, Config, emsim.DistanceLaw, error) 
 // pre-countermeasure rng stream), and then MeasureKernel. The rng
 // drives every stochastic stage, so a fixed seed reproduces the
 // measurement exactly.
-func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (*Measurement, error) {
-	k, err := BuildKernel(m.mc, a, b, m.cfg.Frequency)
+func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
+	k, err := m.buildKernel(a, b)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	if m.cfg.Countermeasures.HasProgram() {
 		if rng == nil {
-			return nil, fmt.Errorf("savat: nil rng")
+			return Measurement{}, fmt.Errorf("savat: nil rng")
 		}
 		if k, err = applyProgramCountermeasures(k, m.cfg.Countermeasures, rng.Int63()); err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	return m.MeasureKernel(k, rng)
+}
+
+// buildKernel is BuildKernel on the Measurer's machine and frequency,
+// timed as the calibrate stage.
+func (m *Measurer) buildKernel(a, b Event) (*Kernel, error) {
+	sp := m.mobs.calibrate.Start()
+	defer sp.End()
+	return BuildKernel(m.mc, a, b, m.cfg.Frequency)
 }
 
 // MeasureKernel measures a prebuilt kernel, avoiding re-calibration
@@ -235,9 +255,9 @@ func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (*Measurement, error) {
 // fixed rng state reproduces the measurement exactly — and every
 // pipeline implementation derives the identical seeds from the
 // identical rng, which is what the conformance differentials rely on.
-func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (*Measurement, error) {
+func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (Measurement, error) {
 	if rng == nil {
-		return nil, fmt.Errorf("savat: nil rng")
+		return Measurement{}, fmt.Errorf("savat: nil rng")
 	}
 	return m.MeasureKernelSeeds(k, seedsFromRNG(rng))
 }
@@ -279,22 +299,22 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // row-mates share envelope products and repetition-mates share noise
 // products through the synthesis cache. The selected pipeline
 // implementation runs inside the savat.measure span.
-func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (*Measurement, error) {
+func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
 	sp := m.mobs.measure.Start()
 	defer sp.End()
 	mc, cfg, law, err := m.resolve()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	switch m.mode {
 	case modeBuffered:
 		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelBuffered(mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
+		return measureKernelBuffered(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.scratch, m.mobs)
 	case modeReference:
-		return measureKernelReference(mc, k, cfg, law, seeds, m.mobs)
+		return measureKernelReference(mc, k, cfg, law, seeds, m.trace, m.mobs)
 	default:
 		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelStream(mc, k, cfg, law, seeds, envKey, noiseKey, m.scratch, m.mobs)
+		return measureKernelStream(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.scratch, m.mobs)
 	}
 }
 
@@ -306,7 +326,7 @@ func (m *Measurer) MeasurePair(a, b Event, repeats int, seed int64) ([]float64, 
 	if repeats <= 0 {
 		return nil, stats.Summary{}, fmt.Errorf("%w: %d", ErrBadRepeats, repeats)
 	}
-	k, err := BuildKernel(m.mc, a, b, m.cfg.Frequency)
+	k, err := m.buildKernel(a, b)
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}

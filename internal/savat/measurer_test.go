@@ -1,11 +1,15 @@
 package savat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
+	"repro/internal/dsp"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // equivSpecs is the fixed spec table every Measurer mode is compared
@@ -43,13 +47,21 @@ func equivConfig(tweak func(*Config)) Config {
 }
 
 // identicalMeasurements demands bit-exact agreement — every scalar field
-// and every spectrum bin — between two Measurements.
-func identicalMeasurements(t *testing.T, name string, a, b *Measurement) {
+// and every spectrum bin — between two Measurements; both must carry a
+// trace or neither.
+func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 	t.Helper()
 	if a.SAVAT != b.SAVAT || a.BandPower != b.BandPower ||
 		a.PairsPerSecond != b.PairsPerSecond || a.LoopCount != b.LoopCount ||
 		a.ActualFrequency != b.ActualFrequency || a.A != b.A || a.B != b.B {
 		t.Errorf("%s: %+v vs %+v", name, a, b)
+		return
+	}
+	if (a.Trace == nil) != (b.Trace == nil) {
+		t.Errorf("%s: trace %v vs %v", name, a.Trace != nil, b.Trace != nil)
+		return
+	}
+	if a.Trace == nil {
 		return
 	}
 	pa, pb := a.Trace.Spectrum.PSD, b.Trace.Spectrum.PSD
@@ -76,11 +88,11 @@ func TestMeasurerModeAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		stream, err := NewMeasurer(s.mc, cfg).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		stream, err := NewMeasurer(s.mc, cfg, WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		buffered, err := NewMeasurer(s.mc, cfg, WithBuffered()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		buffered, err := NewMeasurer(s.mc, cfg, WithBuffered(), WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +108,87 @@ func TestMeasurerModeAgreement(t *testing.T) {
 	}
 }
 
+// WithTrace only adds the spectrum: in every mode, the band-only
+// default and the traced measurement of the same seeds return
+// bit-identical SAVAT and band power, and only the traced one carries
+// a trace.
+func TestWithTraceKeepsValues(t *testing.T) {
+	modes := []struct {
+		name string
+		opts []MeasureOption
+	}{
+		{"stream", nil},
+		{"buffered", []MeasureOption{WithBuffered()}},
+		{"reference", []MeasureOption{WithReference()}},
+	}
+	for _, s := range equivSpecs() {
+		cfg := equivConfig(s.tweak)
+		k, err := BuildKernel(s.mc, s.a, s.b, cfg.Frequency)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for _, mode := range modes {
+			name := s.name + "/" + mode.name
+			plain, err := NewMeasurer(s.mc, cfg, mode.opts...).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced, err := NewMeasurer(s.mc, cfg, append(mode.opts, WithTrace())...).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Trace != nil || traced.Trace == nil {
+				t.Errorf("%s: trace set %v without WithTrace, %v with it", name, plain.Trace != nil, traced.Trace != nil)
+				continue
+			}
+			if math.Float64bits(plain.SAVAT) != math.Float64bits(traced.SAVAT) ||
+				math.Float64bits(plain.BandPower) != math.Float64bits(traced.BandPower) {
+				t.Errorf("%s: band-only SAVAT %g / band %g, traced %g / %g (must be bit-identical)",
+					name, plain.SAVAT, plain.BandPower, traced.SAVAT, traced.BandPower)
+			}
+		}
+	}
+}
+
+// A Measurement is the caller's: a second measurement on the same
+// Measurer — same scratch, same arena — leaves the first result,
+// including its trace's spectrum, untouched.
+func TestMeasurementOutlivesNextMeasurement(t *testing.T) {
+	mc := machine.Core2Duo()
+	cfg := equivConfig(func(*Config) {})
+	for _, traced := range []bool{false, true} {
+		var opts []MeasureOption
+		if traced {
+			opts = append(opts, WithTrace())
+		}
+		m := NewMeasurer(mc, cfg, append(opts, WithArena(arena.New()))...)
+		first, err := m.Measure(ADD, LDM, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first
+		if traced {
+			tr := *first.Trace
+			tr.Spectrum = &dsp.Spectrum{
+				PSD:        append([]float64(nil), first.Trace.Spectrum.PSD...),
+				SampleRate: first.Trace.Spectrum.SampleRate,
+			}
+			want.Trace = &tr
+		}
+		second, err := m.Measure(DIV, NOI, rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.SAVAT == first.SAVAT {
+			t.Fatalf("traced=%v: DIV/NOI and ADD/LDM measured the same %g; the test cannot tell them apart", traced, first.SAVAT)
+		}
+		identicalMeasurements(t, fmt.Sprintf("traced=%v", traced), want, first)
+		if traced && second.Trace.Spectrum == first.Trace.Spectrum {
+			t.Errorf("two traced measurements share one spectrum")
+		}
+	}
+}
+
 // An explicit WithScratch — fresh, or warmed by a previous measurement —
 // must never change a value relative to the Measurer's implicit private
 // scratch: scratch state is an optimization carrier only.
@@ -106,21 +199,19 @@ func TestMeasurerScratchInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		implicit, err := NewMeasurer(s.mc, cfg).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		implicit, err := NewMeasurer(s.mc, cfg, WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		explicit, err := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch())).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		explicit, err := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch()), WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		identicalMeasurements(t, s.name+"/implicit-vs-explicit-scratch", implicit, explicit)
 
 		// Warm a shared scratch with an unrelated measurement, then
-		// re-measure: the warmed result must stay bit-identical. The Trace
-		// aliases the scratch, so the comparison happens before any
-		// further measurement on it.
-		warm := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch()))
+		// re-measure: the warmed result must stay bit-identical.
+		warm := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch()), WithTrace())
 		if _, err := warm.Measure(MUL, SUB, rand.New(rand.NewSource(99))); err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +253,33 @@ func TestMeasurePairMatchesCellSeeding(t *testing.T) {
 		}
 		if sum.N != 3 {
 			t.Errorf("%s: summary %+v", s.name, sum)
+		}
+	}
+}
+
+// Every measurement records one render span (band-only or traced) and
+// every kernel the Measurer builds one calibrate span, on the
+// Measurer's registry.
+func TestStageSpans(t *testing.T) {
+	mc := machine.Core2Duo()
+	cfg := equivConfig(func(*Config) {})
+	for _, opts := range [][]MeasureOption{nil, {WithTrace()}} {
+		reg := obs.NewRegistry()
+		reg.SetEnabled(true)
+		m := NewMeasurer(mc, cfg, append(opts, WithObs(reg))...)
+		if _, err := m.Measure(ADD, LDM, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.MeasurePair(ADD, DIV, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]uint64{
+			"savat.stage.calibrate": 2, // Measure's kernel and MeasurePair's
+			"savat.stage.render":    3, // one per measurement
+		} {
+			if got := reg.Histogram(name).Count(); got != want {
+				t.Errorf("%d options: %s recorded %d spans, want %d", len(opts), name, got, want)
+			}
 		}
 	}
 }

@@ -9,9 +9,11 @@ import "repro/internal/obs"
 // its registry is enabled.
 type measureObs struct {
 	measure     *obs.Histogram // the whole pipeline, kernel to SAVAT value
+	calibrate   *obs.Histogram // kernel construction with loop-count calibration
 	alternation *obs.Histogram // cycle-accurate alternation simulation
 	radiate     *obs.Histogram // radiator init + group phase amplitudes
 	synthesize  *obs.Histogram // buffered/reference time-domain rendering
+	render      *obs.Histogram // band power (or full trace) from the products
 	altHits     *obs.Counter   // scratch alternation-cache hits
 	altMisses   *obs.Counter   // scratch alternation-cache misses
 }
@@ -19,9 +21,11 @@ type measureObs struct {
 func newMeasureObs(r *obs.Registry) *measureObs {
 	return &measureObs{
 		measure:     r.Histogram("savat.measure"),
+		calibrate:   r.Histogram("savat.stage.calibrate"),
 		alternation: r.Histogram("savat.stage.alternation"),
 		radiate:     r.Histogram("savat.stage.radiate"),
 		synthesize:  r.Histogram("savat.stage.synthesize"),
+		render:      r.Histogram("savat.stage.render"),
 		altHits:     r.Counter("savat.altcache.hits"),
 		altMisses:   r.Counter("savat.altcache.misses"),
 	}

@@ -252,7 +252,7 @@ func TestMeasureFigure9Shape(t *testing.T) {
 func TestMeasurementAccessors(t *testing.T) {
 	mc := machine.Core2Duo()
 	rng := rand.New(rand.NewSource(3))
-	m, err := NewMeasurer(mc, FastConfig()).Measure(ADD, DIV, rng)
+	m, err := NewMeasurer(mc, FastConfig(), WithTrace()).Measure(ADD, DIV, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

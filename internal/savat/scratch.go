@@ -84,12 +84,6 @@ type MeasureScratch struct {
 	// caches; specan.Scratch tracks the epoch for its own).
 	mem      *arena.Arena
 	memShape measureShape
-
-	// meas is the scratch-owned Measurement the fast paths return: like
-	// the Trace it embeds, it is valid until the scratch's next
-	// measurement, and reusing it keeps the steady-state path free of
-	// heap allocation.
-	meas Measurement
 }
 
 // measureShape is everything the sizes of the arena-carved working
@@ -250,22 +244,12 @@ func (s *MeasureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law e
 	return alt, canon, n, jit, nil
 }
 
-// finish turns a recorded trace into the Measurement: band power
-// around the intended frequency, then energy per A/B instruction pair.
-// The result is written into dst when one is supplied (the scratch
-// paths pass their scratch-owned Measurement; it shares the Trace's
-// valid-until-next-measurement contract) and freshly allocated when
-// dst is nil (the reference path, whose results outlive the call).
-func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst *Measurement) (*Measurement, error) {
-	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
-	if err != nil {
-		return nil, err
-	}
+// finish turns the band power around the intended frequency into the
+// Measurement: energy per A/B instruction pair. tr is the caller-owned
+// trace of a WithTrace Measurer, nil otherwise.
+func finish(k *Kernel, alt *AlternationResult, p float64, tr *specan.Trace) Measurement {
 	pairs := alt.PairsPerSecond()
-	if dst == nil {
-		dst = &Measurement{}
-	}
-	*dst = Measurement{
+	return Measurement{
 		A: k.A, B: k.B,
 		SAVAT:           p / pairs,
 		BandPower:       p,
@@ -274,7 +258,26 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst
 		ActualFrequency: alt.ActualFrequency(),
 		Trace:           tr,
 	}
-	return dst, nil
+}
+
+// render is the last stage of both scratch paths: the band power from
+// the products — over the band's display bins only, unless the caller
+// asked for a trace, which is then rendered in full into fresh,
+// caller-owned memory (Render on a nil scratch) and read with
+// Trace.BandPower. The two routes are bit-identical.
+func (s *MeasureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD []float64, trace bool, mo *measureObs) (float64, *specan.Trace, error) {
+	sp := mo.render.Start()
+	defer sp.End()
+	if !trace {
+		p, err := s.analyzer.BandPower(n, s.coeffs, env, noisePSD, cfg.SampleRate, cfg.Frequency, cfg.BandHalfWidth, s.specan)
+		return p, nil, err
+	}
+	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	p, err := tr.BandPower(cfg.Frequency, cfg.BandHalfWidth)
+	return p, tr, err
 }
 
 // measureKernelStream is the streaming fast path behind the default
@@ -282,23 +285,20 @@ func finish(k *Kernel, alt *AlternationResult, cfg Config, tr *specan.Trace, dst
 // through the synthesis-product cache — computed, on a miss, by the
 // O(segment) streaming renderers (emsim.EnvelopeStream + noise.Stream
 // feeding specan's product walks) into cache-owned buffers; skipped
-// entirely on a hit — and the cell's trace is assembled by the FFT-free
-// specan.Render. Values are bit-identical to measureKernelBuffered
-// (the per-segment primitives are shared and the reduction order is
-// fixed) and match the reference pipeline within rounding (the
-// equivalence tests bound the relative difference by 1e-9).
-//
-// The returned Measurement's Trace aliases the scratch and is valid
-// until the scratch's next measurement; callers that keep traces must
-// use distinct scratches. A nil scratch is allowed; a fresh one is
-// used.
-func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+// entirely on a hit — and the band power is assembled by the FFT-free
+// specan.BandPower (or, with trace set, specan.Render into a fresh
+// trace). Values are bit-identical to measureKernelBuffered (the
+// per-segment primitives are shared and the reduction order is fixed)
+// and match the reference pipeline within rounding (the equivalence
+// tests bound the relative difference by 1e-9). A nil scratch is
+// allowed; a fresh one is used.
+func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, s *MeasureScratch, mo *measureObs) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
 	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	cache := s.synthCache()
 
@@ -320,7 +320,7 @@ func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.Dis
 			return s.analyzer.EnvelopeProductsStream(n, &s.envStream, cfg.SampleRate, s.specan, dst)
 		})
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
@@ -332,14 +332,14 @@ func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.Dis
 		return s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst)
 	})
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
-	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
+	p, tr, err := s.render(n, cfg, env, noisePSD, trace, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
-	return finish(k, alt, cfg, tr, &s.meas)
+	return finish(k, alt, p, tr), nil
 }
 
 // measureKernelBuffered is the capture-at-once form of
@@ -351,13 +351,13 @@ func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.Dis
 // Measurements to measureKernelStream — the conformance suite asserts
 // this — at O(capture) memory; it exists as the plain-shaped oracle for
 // the streaming path and for callers that want the captures.
-func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, s *MeasureScratch, mo *measureObs) (*Measurement, error) {
+func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, s *MeasureScratch, mo *measureObs) (Measurement, error) {
 	if s == nil {
 		s = NewMeasureScratch()
 	}
 	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 	cache := s.synthCache()
 
@@ -370,7 +370,7 @@ func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.D
 	if len(s.coeffs) > 0 {
 		if _, err := emsim.SynthesizeEnvelopes(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env), &s.env); err != nil {
 			synSp.End()
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	if cap(s.noise) >= n {
@@ -381,7 +381,7 @@ func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.D
 	err = cfg.Environment.Render(s.noise, cfg.SampleRate, s.noiseRng.at(seeds.Noise))
 	synSp.End()
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
 	// 4. Buffered spectrum analysis, products read through the cache.
@@ -390,19 +390,19 @@ func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.D
 			return s.analyzer.EnvelopeProducts(s.env.A, s.env.B, cfg.SampleRate, s.specan, dst)
 		})
 		if err != nil {
-			return nil, err
+			return Measurement{}, err
 		}
 	}
 	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
 		return s.analyzer.NoiseProducts(s.noise, cfg.SampleRate, s.specan, dst)
 	})
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
 
-	tr, err := s.analyzer.Render(n, s.coeffs, env, noisePSD, cfg.SampleRate, s.specan)
+	p, tr, err := s.render(n, cfg, env, noisePSD, trace, mo)
 	if err != nil {
-		return nil, err
+		return Measurement{}, err
 	}
-	return finish(k, alt, cfg, tr, &s.meas)
+	return finish(k, alt, p, tr), nil
 }

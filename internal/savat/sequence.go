@@ -184,11 +184,11 @@ type SequenceMeasurement struct {
 	// instructions.
 	SAVAT float64
 	// Measurement carries the underlying pipeline outputs.
-	Measurement *Measurement
+	Measurement Measurement
 }
 
 // ZJ returns the sequence SAVAT in zeptojoules.
-func (m *SequenceMeasurement) ZJ() float64 { return m.SAVAT * 1e21 }
+func (m SequenceMeasurement) ZJ() float64 { return m.SAVAT * 1e21 }
 
 // MeasureSequence measures the SAVAT between two instruction sequences.
 func MeasureSequence(mc machine.Config, a, b Sequence, cfg Config, rng *rand.Rand) (*SequenceMeasurement, error) {
@@ -238,16 +238,13 @@ func SequenceAdditivity(mc machine.Config, a, b Sequence, cfg Config, rng *rand.
 		if ea == eb {
 			continue // matching positions contribute no difference signal
 		}
-		// The floor measurement below reuses the Measurer's scratch-owned
-		// result, so keep the pair's values before taking it.
-		pair, loops := m.SAVAT, m.LoopCount
 		// Subtract that pair's own measurement floor so the estimate sums
 		// difference signal, not repeated noise floors.
 		fl, err := meas.Measure(ea, ea, rng)
 		if err != nil {
 			return 0, 0, err
 		}
-		d := pair - fl.SAVAT*float64(fl.LoopCount)/float64(loops)
+		d := m.SAVAT - fl.SAVAT*float64(fl.LoopCount)/float64(m.LoopCount)
 		if d > 0 {
 			estimated += d
 		}

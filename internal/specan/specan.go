@@ -19,9 +19,10 @@ import (
 )
 
 // Analyzer-stage metrics: one span per analysis stage (an envelope or
-// noise product computation, or a render), so a capture that computes
-// both products records three spans. The captures counter counts
-// rendered traces. No-ops until the registry is enabled.
+// noise product computation, a render, or a band-power assembly), so a
+// capture that computes both products records three spans. The
+// captures counter counts rendered traces. No-ops until the registry
+// is enabled.
 var (
 	mAnalyze  = obs.Default.Histogram("specan.analyze")
 	mCaptures = obs.Default.Counter("specan.captures")
@@ -326,16 +327,16 @@ func (a *Analyzer) setup(n int, fs float64, s *Scratch) (seg int, enbw float64, 
 	return seg, enbw, s.prepare(seg, a.cfg.Window)
 }
 
-// combineDisplay folds the pair-Welch products into the summed display
-// using the group coefficients, adds the noise PSD (nil to omit), and
-// applies the sensitivity floor, all in one pass over the sum — the
-// display assembly is pure streaming arithmetic, so fusing the combine
-// with the noise/floor finish halves its memory traffic. By Welch
-// linearity the per-bin group-sum PSD is
+// combineDisplay folds the pair-Welch products into display bins
+// [lo, hi) of the sum using the group coefficients, adds the noise PSD
+// (nil to omit), and applies the sensitivity floor, all in one pass —
+// the display assembly is pure streaming arithmetic, so fusing the
+// combine with the noise/floor finish halves its memory traffic. By
+// Welch linearity the per-bin group-sum PSD is
 // CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB)) with CA = Σ|a_g|²,
 // CB = Σ|b_g|², CX = Σ a_g·conj(b_g). The products and the noise PSD
 // are only read — they may be shared, cached state.
-func (s *Scratch) combineDisplay(coeffs [][2]complex128, p *PairPSD, floor float64, noisePSD []float64) {
+func (s *Scratch) combineDisplay(coeffs [][2]complex128, p *PairPSD, floor float64, noisePSD []float64, lo, hi int) {
 	var ca, cb float64
 	var cx complex128
 	for _, c := range coeffs {
@@ -345,10 +346,10 @@ func (s *Scratch) combineDisplay(coeffs [][2]complex128, p *PairPSD, floor float
 		cx += a0 * complex(real(b0), -imag(b0))
 	}
 	cr, ci := real(cx), imag(cx)
-	sum := s.sum
-	pa, pb, cross := p.PA[:len(sum)], p.PB[:len(sum)], p.Cross[:len(sum)]
+	sum := s.sum[lo:hi]
+	pa, pb, cross := p.PA[lo:hi], p.PB[lo:hi], p.Cross[lo:hi]
 	if noisePSD != nil {
-		noise := noisePSD[:len(sum)]
+		noise := noisePSD[lo:hi]
 		for k := range sum {
 			x := cross[k]
 			t := ca*pa[k] + cb*pb[k] + 2*(cr*real(x)-ci*imag(x))
@@ -370,21 +371,34 @@ func (s *Scratch) combineDisplay(coeffs [][2]complex128, p *PairPSD, floor float
 	}
 }
 
-// noiseDisplay fills the sum with the floored noise PSD — the display
-// of a measurement with no coherent envelope content.
-func (s *Scratch) noiseDisplay(floor float64, noisePSD []float64) {
-	sum := s.sum
+// noiseDisplay fills display bins [lo, hi) of the sum with the floored
+// noise PSD — the display of a measurement with no coherent envelope
+// content.
+func (s *Scratch) noiseDisplay(floor float64, noisePSD []float64, lo, hi int) {
+	sum := s.sum[lo:hi]
 	if noisePSD == nil {
 		for k := range sum {
 			sum[k] = floor
 		}
 		return
 	}
-	for k, v := range noisePSD[:len(sum)] {
+	for k, v := range noisePSD[lo:hi] {
 		if v < floor {
 			v = floor
 		}
 		sum[k] = v
+	}
+}
+
+// display assembles display bins [lo, hi) of the sum from the products:
+// the group-coefficient fold when there are coefficients, the floored
+// noise alone otherwise. Render assembles every bin; BandPower only the
+// bins its band reads.
+func (s *Scratch) display(coeffs [][2]complex128, env *PairPSD, floor float64, noisePSD []float64, lo, hi int) {
+	if len(coeffs) > 0 {
+		s.combineDisplay(coeffs, env, floor, noisePSD, lo, hi)
+	} else {
+		s.noiseDisplay(floor, noisePSD, lo, hi)
 	}
 }
 
@@ -457,6 +471,8 @@ func (a *Analyzer) NoiseProducts(x []complex128, fs float64, s *Scratch, dst []f
 // all — a measurement whose products come from a cache pays only the
 // O(segment) combine — and n must be the original capture length so the
 // segmentation (and achieved RBW) match the product computation.
+// Callers that want only the band power use BandPower, which assembles
+// just the band's bins.
 //
 // The returned Trace aliases the scratch's buffers: it is valid until
 // the scratch's next analysis call. Pass a nil scratch to allocate a
@@ -465,40 +481,85 @@ func (a *Analyzer) Render(n int, coeffs [][2]complex128, env *PairPSD, noisePSD 
 	sp := mAnalyze.Start()
 	defer sp.End()
 	mCaptures.Inc()
-	if fs <= 0 {
-		return nil, fmt.Errorf("specan: sample rate %g", fs)
-	}
-	if len(coeffs) == 0 && noisePSD == nil {
-		return nil, ErrNoCaptures
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("specan: capture of %d samples too short", n)
-	}
 	if s == nil {
 		s = NewScratch()
 	}
-	seg, enbw, err := a.segmentFor(n, fs)
+	seg, enbw, err := a.renderSetup(n, coeffs, env, noisePSD, fs, s)
 	if err != nil {
 		return nil, err
 	}
+	s.display(coeffs, env, a.cfg.FloorPSD, noisePSD, 0, seg)
+	return s.traceFor(fs, seg, enbw, a.cfg.FloorPSD), nil
+}
+
+// BandPower returns the power Render's trace would report from
+// Trace.BandPower(center, halfSpan) — bit for bit, errors included —
+// without rendering the trace: it assembles only the display bins the
+// band reads (about 2,000 of 262,144 for the paper's ±1 kHz at 1 Hz
+// RBW) and sums them in Trace.BandPower's order. The display is never
+// exposed, so no caller can see its stale out-of-band bins. This is
+// the measurement path's default; Render is for callers that plot the
+// spectrum.
+func (a *Analyzer) BandPower(n int, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs, center, halfSpan float64, s *Scratch) (float64, error) {
+	sp := mAnalyze.Start()
+	defer sp.End()
+	if s == nil {
+		s = NewScratch()
+	}
+	seg, _, err := a.renderSetup(n, coeffs, env, noisePSD, fs, s)
+	if err != nil {
+		return 0, err
+	}
+	lo, hi, err := bandEdges(center, halfSpan)
+	if err != nil {
+		return 0, err
+	}
+	klo, khi, err := dsp.BandBins(seg, fs, lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	floor := a.cfg.FloorPSD
+	if klo <= khi {
+		s.display(coeffs, env, floor, noisePSD, klo, khi+1)
+	} else {
+		s.display(coeffs, env, floor, noisePSD, klo, seg)
+		s.display(coeffs, env, floor, noisePSD, 0, khi+1)
+	}
+	band := dsp.Spectrum{PSD: s.sum, SampleRate: fs}
+	return band.BandPower(lo, hi)
+}
+
+// renderSetup validates the products of a Render or BandPower call
+// against the segmentation an n-sample capture gets and sizes the
+// scratch's display accumulator, returning the segment length and the
+// window ENBW at it.
+func (a *Analyzer) renderSetup(n int, coeffs [][2]complex128, env *PairPSD, noisePSD []float64, fs float64, s *Scratch) (seg int, enbw float64, err error) {
+	if fs <= 0 {
+		return 0, 0, fmt.Errorf("specan: sample rate %g", fs)
+	}
+	if len(coeffs) == 0 && noisePSD == nil {
+		return 0, 0, ErrNoCaptures
+	}
+	if n < 2 {
+		return 0, 0, fmt.Errorf("specan: capture of %d samples too short", n)
+	}
+	if seg, enbw, err = a.segmentFor(n, fs); err != nil {
+		return 0, 0, err
+	}
 	if len(coeffs) > 0 {
 		if env == nil || len(env.PA) != seg || len(env.PB) != seg || len(env.Cross) != seg {
-			return nil, fmt.Errorf("specan: envelope products missing or not at segment length %d", seg)
+			return 0, 0, fmt.Errorf("specan: envelope products missing or not at segment length %d", seg)
 		}
 	}
 	if noisePSD != nil && len(noisePSD) != seg {
-		return nil, fmt.Errorf("specan: noise PSD length %d, segment length %d", len(noisePSD), seg)
+		return 0, 0, fmt.Errorf("specan: noise PSD length %d, segment length %d", len(noisePSD), seg)
 	}
-	// Render is reachable without setup (cache-hit measurements call it
-	// directly), so it must honour the arena epoch itself.
+	// Render and BandPower are reachable without setup (cache-hit
+	// measurements call them directly), so they must honour the arena
+	// epoch themselves.
 	s.refreshEpoch()
 	s.sum = s.growFloats(s.sum, seg)
-	if len(coeffs) > 0 {
-		s.combineDisplay(coeffs, env, a.cfg.FloorPSD, noisePSD)
-	} else {
-		s.noiseDisplay(a.cfg.FloorPSD, noisePSD)
-	}
-	return s.traceFor(fs, seg, enbw, a.cfg.FloorPSD), nil
+	return seg, enbw, nil
 }
 
 // AnalyzeEnvelopes records the summed incoherent spectrum of a family
@@ -567,10 +628,19 @@ func (a *Analyzer) AnalyzeEnvelopes(envA, envB []float64, coeffs [][2]complex128
 // frequency band from 1 kHz below to 1 kHz above the alternation
 // frequency".
 func (t *Trace) BandPower(center, halfSpan float64) (float64, error) {
-	if halfSpan <= 0 {
-		return 0, fmt.Errorf("specan: non-positive half span %g", halfSpan)
+	lo, hi, err := bandEdges(center, halfSpan)
+	if err != nil {
+		return 0, err
 	}
-	return t.Spectrum.BandPower(center-halfSpan, center+halfSpan)
+	return t.Spectrum.BandPower(lo, hi)
+}
+
+// bandEdges turns a center ± halfSpan band into its edge frequencies.
+func bandEdges(center, halfSpan float64) (lo, hi float64, err error) {
+	if halfSpan <= 0 {
+		return 0, 0, fmt.Errorf("specan: non-positive half span %g", halfSpan)
+	}
+	return center - halfSpan, center + halfSpan, nil
 }
 
 // Peak returns the frequency and PSD of the strongest bin within

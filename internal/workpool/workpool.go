@@ -31,23 +31,42 @@ var (
 	mInline  = obs.Default.Counter("workpool.inline")
 )
 
-// Pool is a bounded token bucket. The zero value is unusable; use New.
-// All methods are safe for concurrent use.
+// Pool is a bounded token bucket with one long-lived worker goroutine
+// per token. The zero value is unusable; use New. All methods are safe
+// for concurrent use.
 type Pool struct {
 	tokens chan struct{}
+	// work feeds Go's callbacks to the workers. It is buffered to the
+	// capacity: a callback is only sent while its token is held, so at
+	// most capacity callbacks are ever queued and a send never blocks.
+	// Handing a func value to a running goroutine allocates nothing,
+	// where spawning a goroutine per callback allocates on every call.
+	work      chan func()
+	startOnce sync.Once
 }
 
 // New returns a pool with the given capacity. A non-positive capacity
-// yields a pool that never grants tokens (all work runs inline).
+// yields a pool that never grants tokens (all work runs inline). The
+// pool's workers start on its first granted Go and live as long as the
+// process, so a pool is made once and shared, like Default.
 func New(capacity int) *Pool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	p := &Pool{tokens: make(chan struct{}, capacity)}
+	p := &Pool{tokens: make(chan struct{}, capacity), work: make(chan func(), capacity)}
 	for i := 0; i < capacity; i++ {
 		p.tokens <- struct{}{}
 	}
 	return p
+}
+
+// worker runs callbacks for the life of the process, returning each
+// callback's token when it finishes.
+func (p *Pool) worker() {
+	for f := range p.work {
+		f()
+		p.Release()
+	}
 }
 
 // Default is the process-wide pool shared by the campaign engine and
@@ -77,10 +96,12 @@ func (p *Pool) Release() {
 	}
 }
 
-// Go runs f on a new goroutine if a token is free, returning true; the
-// token is released when f returns. With no token it returns false
-// WITHOUT running f — the caller runs the work inline. Callers that
-// need completion tracking wrap f with their own WaitGroup:
+// Go runs f on one of the pool's worker goroutines if a token is free,
+// returning true; the token is released when f returns. With no token
+// it returns false WITHOUT running f — the caller runs the work inline.
+// The workers start on the first granted call and are reused, so a
+// steady-state Go allocates nothing. Callers that need completion
+// tracking wrap f with their own WaitGroup:
 //
 //	wg.Add(1)
 //	if !pool.Go(func() { defer wg.Done(); work() }) {
@@ -93,10 +114,12 @@ func (p *Pool) Go(f func()) bool {
 		return false
 	}
 	mSpawned.Inc()
-	go func() {
-		defer p.Release()
-		f()
-	}()
+	p.startOnce.Do(func() {
+		for i := 0; i < cap(p.tokens); i++ {
+			go p.worker()
+		}
+	})
+	p.work <- f
 	return true
 }
 

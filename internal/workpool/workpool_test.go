@@ -127,3 +127,24 @@ func TestConcurrentBound(t *testing.T) {
 		t.Fatalf("peak concurrent tokens %d exceeds capacity %d", peak.Load(), capTokens)
 	}
 }
+
+// The measurement hot path hands a segment transform to the pool per
+// Welch segment; once the workers are running, that hand-off must not
+// allocate (benchguard -zeroalloc holds the campaign cell to 0
+// allocs/op).
+func TestGoSteadyStateAllocatesNothing(t *testing.T) {
+	p := New(1)
+	var wg sync.WaitGroup
+	f := func() { wg.Done() }
+	run := func() {
+		wg.Add(1)
+		if !p.Go(f) {
+			f()
+		}
+		wg.Wait()
+	}
+	run() // starts the workers
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("Go allocated %.1f times per call, want 0", allocs)
+	}
+}
