@@ -16,8 +16,9 @@ FUZZ_TARGETS := \
 .PHONY: build test bench bench-json bench-guard bench-selftest lint verify fuzz-smoke daemon-smoke
 
 # Baseline snapshot cmd/benchguard compares against; re-record with
-# `make bench-json` after intentional performance changes.
-BENCH_BASELINE ?= BENCH_20260808.json
+# `make bench-json` after intentional performance changes, and after an
+# intended change to a science metric that bench-guard pins exactly.
+BENCH_BASELINE ?= BENCH_20261017.json
 
 build:
 	$(GO) build ./...
@@ -64,13 +65,20 @@ lint:
 # runners are not the baseline machine), the arena-backed steady state
 # must perform zero heap allocations per cell, and the disabled
 # instrumentation sites themselves must report exactly 0 allocs/op.
+# Science contract: every deterministic metric the root science
+# benchmarks report (Spearman, cell ratio, diagonal violations,
+# additivity, zJ values, …) must equal the baseline exactly
+# (benchguard -exact); one iteration each is enough, they do not vary.
 BENCH_GUARD_BUDGET ?= 0.01
 BENCH_GUARD_NOISE ?= 0.25
+BENCH_SCIENCE ?= Fig|Repeatability|Naive|Cluster|Ablation|Sequence|Extension|Analytic
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkMeasureKernelScratch$$' -benchtime 20x . > benchguard.out || (cat benchguard.out; rm -f benchguard.out; exit 1)
 	$(GO) test -run '^$$' -bench 'BenchmarkDisabled' -benchtime 1000x ./internal/obs >> benchguard.out || (cat benchguard.out; rm -f benchguard.out; exit 1)
+	$(GO) test -run '^$$' -bench '$(BENCH_SCIENCE)' -benchtime 1x . >> benchguard.out || (cat benchguard.out; rm -f benchguard.out; exit 1)
 	$(GO) run ./cmd/benchguard -baseline $(BENCH_BASELINE) -only 'MeasureKernelScratch$$' \
 		-zeroalloc 'BenchmarkMeasureKernelScratch$$|BenchmarkDisabled' \
+		-exact '$(BENCH_SCIENCE)' \
 		-budget $(BENCH_GUARD_BUDGET) -noise $(BENCH_GUARD_NOISE) < benchguard.out
 	@rm -f benchguard.out
 

@@ -25,6 +25,20 @@
 // dropping b.ReportAllocs() cannot disarm the assertion. This is how
 // the "disabled observability sites allocate nothing" contract is
 // enforced against harness artifacts as well as real regressions.
+//
+// -exact takes a regexp of benchmarks whose reported metrics are
+// deterministic results rather than measurements — the science
+// benchmarks' Spearman, cell ratio, additivity and zJ values — and
+// requires every metric of each matching benchmark to equal the
+// baseline to 1e-12 relative. Time and memory figures (ns/op, B/op,
+// allocs/op) and rates (any unit ending in /s) are exempt. A matching
+// benchmark missing from the run or from the baseline fails, and so
+// does a metric present on only one side, so renaming a benchmark or a
+// metric cannot silently disarm the check. Changing a pinned value is
+// then a deliberate act: record a new baseline.
+//
+//	go test -run '^$' -bench 'Fig|Sequence' -benchtime 1x . > bench.out
+//	benchguard -baseline BENCH_20261017.json -exact 'Fig|Sequence' < bench.out
 package main
 
 import (
@@ -32,8 +46,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -47,15 +63,21 @@ func main() {
 		noise     = flag.Float64("noise", 0.25, "extra fractional slack for run and machine variance")
 		only      = flag.String("only", "", "regexp restricting which benchmarks are guarded (default all)")
 		zeroalloc = flag.String("zeroalloc", "", "regexp of benchmarks that must report 0 allocs/op")
+		exact     = flag.String("exact", "", "regexp of benchmarks whose non-time metrics must equal the baseline")
 	)
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *baseline, *budget, *noise, *only, *zeroalloc); err != nil {
+	if err := run(os.Stdin, os.Stdout, *baseline, *budget, *noise, *only, *zeroalloc, *exact); err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, only, zeroalloc string) error {
+// exactRelTol is the relative difference -exact tolerates: far below
+// the printed precision of any benchmark metric, so only the rounding
+// of a cross-run mean passes.
+const exactRelTol = 1e-12
+
+func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, only, zeroalloc, exact string) error {
 	if baseline == "" {
 		return fmt.Errorf("-baseline is required")
 	}
@@ -82,7 +104,7 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	// A -count run yields one line per repetition; guard the mean, like
 	// the baselines record it.
 	cur.Aggregate()
-	var keep, mustZero *regexp.Regexp
+	var keep, mustZero, pinned *regexp.Regexp
 	if only != "" {
 		if keep, err = regexp.Compile(only); err != nil {
 			return fmt.Errorf("-only: %w", err)
@@ -91,6 +113,11 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 	if zeroalloc != "" {
 		if mustZero, err = regexp.Compile(zeroalloc); err != nil {
 			return fmt.Errorf("-zeroalloc: %w", err)
+		}
+	}
+	if exact != "" {
+		if pinned, err = regexp.Compile(exact); err != nil {
+			return fmt.Errorf("-exact: %w", err)
 		}
 	}
 
@@ -110,6 +137,12 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 				fmt.Fprintf(out, "  FAIL %-45s %12.0f allocs/op, want 0\n", b.Name, allocs)
 			default:
 				fmt.Fprintf(out, "  ok   %-45s %12.0f allocs/op\n", b.Name, allocs)
+			}
+		}
+		if pinned != nil && pinned.MatchString(b.Name) {
+			compared++
+			if !checkExact(out, b, base) {
+				failed++
 			}
 		}
 		if keep != nil && !keep.MatchString(b.Name) {
@@ -139,15 +172,81 @@ func run(in io.Reader, out io.Writer, baseline string, budget, noise float64, on
 		fmt.Fprintf(out, "  %-4s %-45s %12.0f ns/op vs %12.0f ns/op baseline (%.3fx, limit %.3fx)\n",
 			verdict, b.Name, curNS, baseNS, curNS/baseNS, limitFactor)
 	}
+	if pinned != nil {
+		for _, b := range base.Benchmarks {
+			if _, ok := cur.Find(b.Name); pinned.MatchString(b.Name) && !ok {
+				compared++
+				failed++
+				fmt.Fprintf(out, "  FAIL %-45s in the baseline but missing from the run\n", b.Name)
+			}
+		}
+	}
 	if compared == 0 {
 		return fmt.Errorf("no benchmark on stdin matched the baseline (only=%q) — nothing was guarded", only)
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d guarded benchmarks regressed past budget %.1f%% (+%.0f%% noise slack)",
+		return fmt.Errorf("%d of %d guarded benchmarks failed (ns/op budget %.1f%% +%.0f%% noise slack; zero-alloc and exact checks have none)",
 			failed, compared, budget*100, noise*100)
 	}
 	fmt.Fprintf(out, "benchguard: %d benchmarks within budget\n", compared)
 	return nil
+}
+
+// checkExact compares every pinned metric of the current result b with
+// its baseline entry, prints one line per benchmark (and one per
+// offending metric), and reports whether all of them match.
+func checkExact(out io.Writer, b benchfmt.Bench, base benchfmt.File) bool {
+	ref, ok := base.Find(b.Name)
+	if !ok {
+		fmt.Fprintf(out, "  FAIL %-45s pinned by -exact but not in the baseline\n", b.Name)
+		return false
+	}
+	units := map[string]bool{}
+	for unit := range b.Metrics {
+		units[unit] = true
+	}
+	for unit := range ref.Metrics {
+		units[unit] = true
+	}
+	names := make([]string, 0, len(units))
+	for unit := range units {
+		if !exemptFromExact(unit) {
+			names = append(names, unit)
+		}
+	}
+	sort.Strings(names)
+	var bad []string
+	for _, unit := range names {
+		cur, cok := b.Metrics[unit]
+		want, bok := ref.Metrics[unit]
+		switch {
+		case !cok:
+			bad = append(bad, fmt.Sprintf("%s: missing from the run (baseline %.10g)", unit, want))
+		case !bok:
+			bad = append(bad, fmt.Sprintf("%s: %.10g, not in the baseline", unit, cur))
+		case math.Abs(cur-want) > exactRelTol*math.Max(math.Abs(cur), math.Abs(want)):
+			bad = append(bad, fmt.Sprintf("%s: %.10g, baseline %.10g", unit, cur, want))
+		}
+	}
+	if len(bad) > 0 {
+		fmt.Fprintf(out, "  FAIL %-45s %d of %d pinned metrics differ from the baseline\n", b.Name, len(bad), len(names))
+		for _, line := range bad {
+			fmt.Fprintf(out, "         %s\n", line)
+		}
+		return false
+	}
+	fmt.Fprintf(out, "  ok   %-45s %d pinned metrics equal the baseline\n", b.Name, len(names))
+	return true
+}
+
+// exemptFromExact reports whether a metric unit is a measurement of
+// the run rather than a deterministic result: time, memory, and rates.
+func exemptFromExact(unit string) bool {
+	switch unit {
+	case "ns/op", "B/op", "allocs/op":
+		return true
+	}
+	return strings.HasSuffix(unit, "/s")
 }
 
 // stripProcs drops a trailing -N GOMAXPROCS suffix from a benchmark

@@ -28,7 +28,7 @@ func writeBaseline(t *testing.T) string {
 func guard(t *testing.T, benchOut, only string, budget, noise float64) (string, error) {
 	t.Helper()
 	var out strings.Builder
-	err := run(strings.NewReader(benchOut), &out, writeBaseline(t), budget, noise, only, "")
+	err := run(strings.NewReader(benchOut), &out, writeBaseline(t), budget, noise, only, "", "")
 	return out.String(), err
 }
 
@@ -77,7 +77,7 @@ func TestOnlyFilterAndMissingBaseline(t *testing.T) {
 }
 
 func TestRequiresBaselineFlag(t *testing.T) {
-	if err := run(strings.NewReader(""), &strings.Builder{}, "", 0.01, 0, "", ""); err == nil {
+	if err := run(strings.NewReader(""), &strings.Builder{}, "", 0.01, 0, "", "", ""); err == nil {
 		t.Error("missing -baseline accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestZeroAllocAssertion(t *testing.T) {
 	zero := func(benchOut string) (string, error) {
 		var out strings.Builder
 		err := run(strings.NewReader(benchOut), &out, writeBaseline(t), 0.01, 0,
-			"MeasureKernelScratch$", "Disabled")
+			"MeasureKernelScratch$", "Disabled", "")
 		return out.String(), err
 	}
 	pass := "BenchmarkMeasureKernelScratch 20 1000000 ns/op\n" +
@@ -122,7 +122,7 @@ func TestGOMAXPROCSSuffixStripped(t *testing.T) {
 	benchOut := "BenchmarkMeasureKernelScratch-2 20 1000000 ns/op 48 B/op 2 allocs/op\n" +
 		"BenchmarkDisabledCounter-2 1000 3 ns/op 0 B/op 0 allocs/op\n"
 	err := run(strings.NewReader(benchOut), &out, writeBaseline(t), 0.01, 0,
-		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled")
+		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled", "")
 	if err == nil {
 		t.Fatalf("2 allocs/op on BenchmarkMeasureKernelScratch-2 accepted:\n%s", out.String())
 	}
@@ -140,7 +140,7 @@ func TestGOMAXPROCSSuffixStripped(t *testing.T) {
 	clean := "BenchmarkMeasureKernelScratch-2 20 1000000 ns/op 0 B/op 0 allocs/op\n" +
 		"BenchmarkDisabledCounter-2 1000 3 ns/op 0 B/op 0 allocs/op\n"
 	if err := run(strings.NewReader(clean), &out, writeBaseline(t), 0.01, 0,
-		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled"); err != nil {
+		"MeasureKernelScratch$", "BenchmarkMeasureKernelScratch$|BenchmarkDisabled", ""); err != nil {
 		t.Fatalf("suffixed benchmarks within budget rejected: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "3 benchmarks within budget") {
@@ -148,5 +148,60 @@ func TestGOMAXPROCSSuffixStripped(t *testing.T) {
 	}
 	if got := stripProcs("BenchmarkPlanFor/new-plan"); got != "BenchmarkPlanFor/new-plan" {
 		t.Errorf("non-numeric tail stripped: %q", got)
+	}
+}
+
+const scienceBaselineJSON = `{
+  "date": "20261017",
+  "benchmarks": [
+    {"name": "BenchmarkSequenceAdditivity", "iterations": 6, "metrics": {"ns/op": 5e7, "additivity-ratio": 0.8283, "estimate-zJ": 5.168}},
+    {"name": "BenchmarkFig09Matrix", "iterations": 6, "metrics": {"ns/op": 4e8, "spearman": 0.9438999999999999, "cells/s": 300}},
+    {"name": "BenchmarkStorePut", "iterations": 6, "metrics": {"ns/op": 5e4, "records/batch": 2}}
+  ]
+}
+`
+
+// -exact pins every non-time metric of the matching benchmarks to the
+// baseline: equal values (up to the rounding of a cross-run mean)
+// pass whatever the timings and rates do; a changed, dropped or added
+// metric fails, and so does a matching benchmark missing on either
+// side. Benchmarks outside the regexp are not pinned.
+func TestExactPinsScienceMetrics(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "science.json")
+	if err := os.WriteFile(p, []byte(scienceBaselineJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "Fig|Sequence"
+	exact := func(benchOut string) (string, error) {
+		var out strings.Builder
+		err := run(strings.NewReader(benchOut), &out, p, 0.01, 0, "NoSuchBenchmark", "", pinned)
+		return out.String(), err
+	}
+	same := "BenchmarkSequenceAdditivity-2 1 99999999 ns/op 0.8283 additivity-ratio 5.168 estimate-zJ\n" +
+		"BenchmarkFig09Matrix-2 1 1 ns/op 0.9439 spearman 12 cells/s 7 B/op 3 allocs/op\n" +
+		"BenchmarkStorePut-2 1 1 ns/op 1 records/batch\n"
+	out, err := exact(same)
+	if err != nil {
+		t.Fatalf("equal science metrics rejected: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "2 benchmarks within budget") {
+		t.Errorf("want both pinned benchmarks checked and StorePut ignored:\n%s", out)
+	}
+
+	for name, benchOut := range map[string]string{
+		"changed value": "BenchmarkSequenceAdditivity 1 1 ns/op 3.008 additivity-ratio 5.168 estimate-zJ\n" +
+			"BenchmarkFig09Matrix 1 1 ns/op 0.9439 spearman\n",
+		"dropped metric": "BenchmarkSequenceAdditivity 1 1 ns/op 0.8283 additivity-ratio\n" +
+			"BenchmarkFig09Matrix 1 1 ns/op 0.9439 spearman\n",
+		"added metric": "BenchmarkSequenceAdditivity 1 1 ns/op 0.8283 additivity-ratio 5.168 estimate-zJ 1 measured-zJ\n" +
+			"BenchmarkFig09Matrix 1 1 ns/op 0.9439 spearman\n",
+		"missing from the run":      "BenchmarkSequenceAdditivity 1 1 ns/op 0.8283 additivity-ratio 5.168 estimate-zJ\n",
+		"missing from the baseline": same + "BenchmarkFig99New 1 1 ns/op 1 spearman\n",
+	} {
+		if out, err := exact(benchOut); err == nil {
+			t.Errorf("%s accepted:\n%s", name, out)
+		} else if !strings.Contains(out, "FAIL") {
+			t.Errorf("%s: no FAIL line:\n%s", name, out)
+		}
 	}
 }

@@ -9,11 +9,13 @@
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
 //     direct in-process savat.RunSpec of the same spec,
-//  5. SIGKILL the daemon mid-campaign, restart it on the same state
-//     directory, and watch the resubmitted campaign resume from the
-//     durable cell store (a SIGKILL skips every shutdown path, so each
-//     resumed cell must have come through the store's write-behind
-//     flusher), finishing bit-identical to a direct run,
+//  5. SIGKILL the daemon mid-campaign — the job status read just
+//     before the kill must show cells still outstanding — restart it on
+//     the same state directory, and watch the resubmitted campaign
+//     resume from the durable cell store (a SIGKILL skips every
+//     shutdown path, so each resumed cell must have come through the
+//     store's write-behind flusher) and compute the rest, finishing
+//     bit-identical to a direct run,
 //  6. run a power-channel campaign through the same cancel/resume
 //     cycle: the channel dimension must reach the daemon's fingerprint
 //     and cell keys intact, and the resumed matrix must be
@@ -161,9 +163,14 @@ func run() error {
 
 	// Phase 5: SIGKILL mid-campaign. A fresh spec (different seed) avoids
 	// the cells already persisted above, so the restarted daemon can only
-	// resume from cells the durable store flushed before the kill.
+	// resume from cells the durable store flushed before the kill. All
+	// eleven events make it 363 cells — seconds of work at -parallelism
+	// 1, far more than the flush wait below — so the kill lands with
+	// most of the campaign still outstanding.
 	spec2 := smokeSpec()
 	spec2.Seed = 23
+	spec2.Events = savat.Events()
+	total2 := len(spec2.Events) * len(spec2.Events) * spec2.Repeats
 	killed, err := submit(base, spec2)
 	if err != nil {
 		return err
@@ -175,11 +182,18 @@ func run() error {
 	// Give the store's write-behind flusher (25 ms cadence) time to make
 	// the streamed cells durable, then kill without any shutdown path.
 	time.Sleep(150 * time.Millisecond)
+	var beforeKill service.Job
+	if err := getJSON(base+"/v1/campaigns/"+killed.ID, &beforeKill); err != nil {
+		return err
+	}
+	if beforeKill.Stats.Done >= total2 {
+		return fmt.Errorf("kill-phase job %s finished all %d cells before the kill; the phase would prove nothing", killed.ID, total2)
+	}
 	if err := daemon.Process.Kill(); err != nil {
 		return fmt.Errorf("SIGKILL: %w", err)
 	}
 	daemon.Wait()
-	fmt.Println("daemon-smoke: daemon SIGKILLed mid-campaign")
+	fmt.Printf("daemon-smoke: daemon SIGKILLed mid-campaign after %d/%d cells\n", beforeKill.Stats.Done, total2)
 
 	daemon, base, err = startDaemon(bin, stateDir)
 	if err != nil {
@@ -203,6 +217,9 @@ func run() error {
 	}
 	if final.Stats.Cached == 0 {
 		return fmt.Errorf("post-kill job %s recomputed everything; the store recovered nothing", resumed.ID)
+	}
+	if final.Stats.Computed == 0 {
+		return fmt.Errorf("post-kill job %s computed nothing; the kill did not land mid-campaign", resumed.ID)
 	}
 	fmt.Printf("daemon-smoke: resumed %s after SIGKILL (%d cells from the store, %d computed)\n",
 		resumed.ID, final.Stats.Cached, final.Stats.Computed)

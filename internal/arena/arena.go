@@ -1,12 +1,11 @@
 // Package arena provides a per-worker bump allocator for the
 // measurement working set: one slab per element type, carved
-// sequentially, rewound in O(1) when the measurement shape changes.
+// sequentially.
 //
-// The campaign engine gives each worker one Arena (see
-// savat.WithArena); the worker's MeasureScratch and specan.Scratch
-// carve their shape-dependent working buffers — rolling Welch windows,
-// in-flight segment transforms, the display accumulator, the buffered
-// noise capture — from it instead of the heap. Steady-state cell
+// The campaign engine gives each worker's Measurer one Arena (see
+// savat.WithArena); the Measurer's analyzer scratch carves its working
+// buffers — rolling Welch windows, in-flight segment transforms, the
+// display accumulator — from it instead of the heap. Steady-state cell
 // compute then performs zero heap allocations (cmd/benchguard
 // -zeroalloc enforces this), the whole working set lives in one
 // contiguous block the GC scans as a single object, and buffers a
@@ -15,23 +14,15 @@
 // # Lifetime rules
 //
 // An Arena has exactly one owner (it is NOT safe for concurrent use)
-// and advances through epochs:
-//
-//   - Reset starts a new epoch: the generation counter advances and
-//     the slabs rewind. Every slice carved in an earlier epoch is
-//     dead — the next epoch will hand the same memory to someone else.
-//     Reset may only be called at a point where no carved buffer is
-//     live (savat resets when the measurement shape changes, before
-//     any working buffer of the new shape is carved).
-//   - Consumers that cache carved slices across calls must remember
-//     Gen() at carve time and re-carve when it changes, even if the
-//     cached slice looks big enough — capacity says nothing about
-//     epoch. The pattern is: on epoch change, drop every cached slice;
-//     then carve on demand.
-//   - Buffers that outlive epochs — cached synthesis products, traces
-//     copied out by callers — must NOT come from an arena. savat's
-//     product caches allocate their published buffers on the heap for
-//     exactly this reason.
+// and never rewinds: carved memory is never handed out twice, so a
+// carved slice stays valid for as long as its holder keeps it. The
+// price is that every carve grows the footprint, so consumers carve a
+// buffer once at the size they need and reuse it from then on; a
+// Measurer's configuration is fixed at construction, so its working
+// set is carved on the first measurement and the footprint stops
+// growing there. Buffers that outlive the owner's next call — cached
+// synthesis products, traces handed to callers — do not come from an
+// arena.
 //
 // A nil *Arena is a valid receiver for the carving methods and falls
 // back to plain heap allocation, so consumers can be threaded
@@ -46,7 +37,6 @@ const minSlab = 1024
 // Arena is the typed bump allocator. The zero value is ready to use;
 // New is provided for symmetry with the rest of the codebase.
 type Arena struct {
-	gen       uint64
 	floats    []float64
 	complexes []complex128
 	fOff      int
@@ -56,31 +46,9 @@ type Arena struct {
 // New returns an empty arena; slabs are sized on first carve.
 func New() *Arena { return &Arena{} }
 
-// Gen returns the current epoch. It starts at 1 on a fresh arena so a
-// consumer's zero-valued remembered generation never matches — the
-// first use always carves. Gen on a nil arena returns 0.
-func (a *Arena) Gen() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.gen + 1
-}
-
-// Reset starts a new epoch: slabs rewind to empty, capacity is
-// retained, and Gen advances. Every slice carved before the Reset is
-// dead (see the package lifetime rules). Reset on a nil arena is a
-// no-op.
-func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
-	a.gen++
-	a.fOff, a.cOff = 0, 0
-}
-
-// Floats carves an n-element float64 slice (full, zeroed, capacity
-// clipped to n so appends cannot silently overlap a neighbour). On a
-// nil arena it heap-allocates.
+// Floats carves an n-element float64 slice (full, zeroed — slabs are
+// fresh and never rewound — and capacity clipped to n so appends cannot
+// silently overlap a neighbour). On a nil arena it heap-allocates.
 func (a *Arena) Floats(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
@@ -91,7 +59,6 @@ func (a *Arena) Floats(n int) []float64 {
 	}
 	s := a.floats[a.fOff : a.fOff+n : a.fOff+n]
 	a.fOff += n
-	clear(s) // rewound slabs carry the previous epoch's values
 	return s
 }
 
@@ -107,7 +74,6 @@ func (a *Arena) Complexes(n int) []complex128 {
 	}
 	s := a.complexes[a.cOff : a.cOff+n : a.cOff+n]
 	a.cOff += n
-	clear(s)
 	return s
 }
 
@@ -120,8 +86,9 @@ func (a *Arena) Footprint() int {
 	return 8*len(a.floats) + 16*len(a.complexes)
 }
 
-// grownSlab doubles the slab until the pending carve fits, so a warmed
-// arena stops growing and every carve of an epoch lands in one block.
+// grownSlab doubles the slab until the pending carve fits, so a few
+// growth steps cover a whole working set and its carves land in one
+// block.
 func grownSlab(cur, need int) int {
 	sz := cur
 	if sz < minSlab {

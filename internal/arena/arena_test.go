@@ -33,58 +33,10 @@ func TestCarveContract(t *testing.T) {
 	}
 }
 
-// Reset must advance the epoch and rewind: post-reset carves reuse the
-// slab memory the pre-reset carves held.
-func TestResetRewindsAndAdvancesGen(t *testing.T) {
-	a := New()
-	if a.Gen() != 1 {
-		t.Fatalf("fresh Gen = %d, want 1 (so zero-valued consumer gens never match)", a.Gen())
-	}
-	before := a.Floats(8)
-	before[0] = 42
-	g := a.Gen()
-	a.Reset()
-	if a.Gen() != g+1 {
-		t.Fatalf("Gen after Reset = %d, want %d", a.Gen(), g+1)
-	}
-	after := a.Floats(8)
-	if &before[0] != &after[0] {
-		t.Error("post-reset carve did not reuse the rewound slab")
-	}
-	if after[0] != 0 {
-		t.Error("post-reset carve carries the previous epoch's values")
-	}
-}
-
-// A warmed arena must stop allocating: after one shape repeats, the
-// footprint is stable across reset/carve cycles.
-func TestFootprintStabilizes(t *testing.T) {
-	a := New()
-	shape := func() {
-		a.Reset()
-		a.Floats(3000)
-		a.Complexes(5000)
-		a.Floats(100)
-	}
-	shape()
-	shape()
-	warm := a.Footprint()
-	for i := 0; i < 10; i++ {
-		shape()
-	}
-	if a.Footprint() != warm {
-		t.Errorf("footprint grew from %d to %d across identical epochs", warm, a.Footprint())
-	}
-}
-
 // A nil arena must be a valid receiver everywhere, falling back to the
 // heap, so consumers thread it unconditionally.
 func TestNilArena(t *testing.T) {
 	var a *Arena
-	if a.Gen() != 0 {
-		t.Errorf("nil Gen = %d, want 0", a.Gen())
-	}
-	a.Reset() // must not panic
 	if f := a.Floats(4); len(f) != 4 {
 		t.Errorf("nil Floats(4) len = %d", len(f))
 	}
@@ -96,12 +48,12 @@ func TestNilArena(t *testing.T) {
 	}
 }
 
-// Oversized carves must work mid-epoch (slab growth) and zero-length
-// carves must be harmless.
+// Oversized carves must grow a new slab without disturbing earlier
+// carves, and zero-length carves must be harmless.
 func TestGrowthAndEdgeSizes(t *testing.T) {
 	a := New()
 	small := a.Floats(minSlab / 2)
-	big := a.Floats(4 * minSlab) // forces a new slab mid-epoch
+	big := a.Floats(4 * minSlab) // forces a new slab
 	small[0], big[0] = 1, 2
 	if small[0] != 1 || big[0] != 2 {
 		t.Fatal("carves from different slabs interfere")

@@ -113,21 +113,27 @@ type DiffResult struct {
 // RunDifferential drives every spec through the fast path and the
 // reference pipeline with identical rng streams and reports one check
 // per spec at the given relative tolerance (DiffRelTol for the
-// standing acceptance bound). One warmed scratch is shared across
-// specs — exactly how campaign workers run — so scratch-reuse bugs
-// surface here too.
+// standing acceptance bound). Each spec gets fresh Measurers, since a
+// Measurer's configuration is fixed at construction. The fast path is
+// also measured with WithTrace, and its default band-only value must
+// equal the traced one to the bit: the band-only route assembles just
+// the band's display bins, and any difference means it leaked into the
+// arithmetic.
 func RunDifferential(specs []DiffSpec, relTol float64) ([]DiffResult, *Report, error) {
 	r := &Report{}
 	out := make([]DiffResult, 0, len(specs))
-	scratch := savat.NewMeasureScratch()
 	for _, s := range specs {
 		k, err := savat.BuildKernel(s.Machine, s.A, s.B, s.Config.Frequency)
 		if err != nil {
 			return nil, nil, fmt.Errorf("conform: %s: build kernel: %w", s.Name, err)
 		}
-		fast, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(scratch)).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
+		fast, err := savat.NewMeasurer(s.Machine, s.Config).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
 		if err != nil {
 			return nil, nil, fmt.Errorf("conform: %s: fast path: %w", s.Name, err)
+		}
+		traced, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
+		if err != nil {
+			return nil, nil, fmt.Errorf("conform: %s: traced fast path: %w", s.Name, err)
 		}
 		ref, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithReference()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
 		if err != nil {
@@ -137,6 +143,13 @@ func RunDifferential(specs []DiffSpec, relTol float64) ([]DiffResult, *Report, e
 		out = append(out, DiffResult{Spec: s, Fast: fast.SAVAT, Reference: ref.SAVAT, RelDiff: d})
 		r.addBound("differential/"+s.Name, d, relTol,
 			fmt.Sprintf("fast %.9g zJ vs reference %.9g zJ", fast.ZJ(), ref.ZJ()))
+		r.Add(Check{
+			Name: "differential/" + s.Name + "/band-only",
+			Pass: fast.SAVAT == traced.SAVAT && fast.BandPower == traced.BandPower &&
+				fast.Trace == nil && traced.Trace != nil,
+			Detail: fmt.Sprintf("band-only %.17g zJ vs traced %.17g zJ (band %.17g vs %.17g W)",
+				fast.ZJ(), traced.ZJ(), fast.BandPower, traced.BandPower),
+		})
 		if fast.LoopCount != ref.LoopCount || fast.PairsPerSecond != ref.PairsPerSecond {
 			r.Add(Check{
 				Name: "differential/" + s.Name + "/metadata", Pass: false,
@@ -172,81 +185,6 @@ func RunDifferentialKernels(specs []DiffSpec, relTol float64) (*Report, error) {
 			c.Name = "kernel/" + kernel + "/" + c.Name
 			r.Add(c)
 		}
-	}
-	return r, nil
-}
-
-// RunStreamingDifferential drives every spec through the streaming
-// measurement path (the default Measurer mode) and the buffered
-// oracle (savat.WithBuffered) with identical rng streams and
-// demands BIT-EXACT agreement — zero ULP, not a tolerance. The
-// streaming pipeline is a re-segmentation of the buffered one over the
-// same renderers and the same per-segment transform primitives, so any
-// nonzero difference, however small, means the segmentation leaked
-// into the arithmetic and is a bug. The whole recorded spectrum is
-// compared bin by bin, not just the scalar SAVAT value, so a
-// compensating error cannot hide in the band integral.
-func RunStreamingDifferential(specs []DiffSpec) (*Report, error) {
-	r := &Report{}
-	stream := savat.NewMeasureScratch()
-	buffered := savat.NewMeasureScratch()
-	for _, s := range specs {
-		k, err := savat.BuildKernel(s.Machine, s.A, s.B, s.Config.Frequency)
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: build kernel: %w", s.Name, err)
-		}
-		sm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream), savat.WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: streaming path: %w", s.Name, err)
-		}
-		bm, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(buffered), savat.WithBuffered(), savat.WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: buffered path: %w", s.Name, err)
-		}
-		// The default, band-only route on the same scratch: it assembles
-		// only the band's bins and must land on the traced value exactly.
-		bo, err := savat.NewMeasurer(s.Machine, s.Config, savat.WithScratch(stream)).MeasureKernel(k, rand.New(rand.NewSource(s.Seed)))
-		if err != nil {
-			return nil, fmt.Errorf("conform: %s: band-only path: %w", s.Name, err)
-		}
-		name := "streaming/" + s.Name
-		r.Add(Check{
-			Name: name + "/savat",
-			Pass: sm.SAVAT == bm.SAVAT && sm.BandPower == bm.BandPower,
-			Detail: fmt.Sprintf("streaming %.17g zJ vs buffered %.17g zJ (band %.17g vs %.17g W)",
-				sm.ZJ(), bm.ZJ(), sm.BandPower, bm.BandPower),
-		})
-		r.Add(Check{
-			Name: name + "/band-only",
-			Pass: bo.SAVAT == sm.SAVAT && bo.BandPower == sm.BandPower && bo.Trace == nil,
-			Detail: fmt.Sprintf("band-only %.17g zJ vs traced %.17g zJ (band %.17g vs %.17g W)",
-				bo.ZJ(), sm.ZJ(), bo.BandPower, sm.BandPower),
-		})
-		sp, bp := sm.Trace.Spectrum.PSD, bm.Trace.Spectrum.PSD
-		mismatch, firstBin := 0, -1
-		if len(sp) != len(bp) {
-			mismatch, firstBin = len(sp)+len(bp), 0
-		} else {
-			for i := range sp {
-				if sp[i] != bp[i] {
-					if mismatch == 0 {
-						firstBin = i
-					}
-					mismatch++
-				}
-			}
-		}
-		detail := fmt.Sprintf("%d bins", len(sp))
-		if mismatch > 0 {
-			detail = fmt.Sprintf("%d of %d bins differ, first at %d", mismatch, len(sp), firstBin)
-		}
-		r.Add(Check{Name: name + "/psd", Pass: mismatch == 0, Detail: detail})
-		r.Add(Check{
-			Name: name + "/trace-meta",
-			Pass: sm.Trace.ActualRBW == bm.Trace.ActualRBW && sm.Trace.FloorPSD == bm.Trace.FloorPSD,
-			Detail: fmt.Sprintf("RBW %g vs %g, floor %.17g vs %.17g",
-				sm.Trace.ActualRBW, bm.Trace.ActualRBW, sm.Trace.FloorPSD, bm.Trace.FloorPSD),
-		})
 	}
 	return r, nil
 }

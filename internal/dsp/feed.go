@@ -67,11 +67,9 @@ type slotRing struct {
 	pending  []*feedSlot    // scattered slots awaiting a batch sweep
 	batch    [][]complex128 // reused batch argument storage
 
-	// Arena backing for the slot buffers (nil = heap). memGen remembers
-	// the epoch the buffers were carved in: a Reset upstream retires
-	// them no matter their capacity (see internal/arena lifetime rules).
-	mem    *arena.Arena
-	memGen uint64
+	// Arena backing for the slot buffers (nil = heap). Buffers carved
+	// from one arena are never reused under another.
+	mem *arena.Arena
 }
 
 func (r *slotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.Arena) {
@@ -87,11 +85,11 @@ func (r *slotRing) init(segLen int, plan *Plan, pool *workpool.Pool, mem *arena.
 	if len(r.slots) != maxFeedSlots {
 		r.slots = make([]feedSlot, maxFeedSlots)
 	}
-	if g := mem.Gen(); mem != r.mem || g != r.memGen {
-		r.mem, r.memGen = mem, g
+	if mem != r.mem {
+		r.mem = mem
 		if mem != nil {
 			for i := range r.slots {
-				r.slots[i].fft = nil // retired epoch (or new arena): re-carve
+				r.slots[i].fft = nil // a new arena: re-carve from it
 			}
 		}
 	}
@@ -208,8 +206,8 @@ type PairFeed struct {
 // Init readies the feed to accumulate into pa, pb and cross
 // (all segLen long). It may be called repeatedly on one PairFeed to
 // reuse its slot buffers across captures. The slot transform buffers
-// are carved from mem when non-nil (heap otherwise); the feed honours
-// the arena epoch, re-carving after a Reset.
+// are carved from mem when non-nil (heap otherwise), once per arena and
+// segment length.
 func (f *PairFeed) Init(s *WelchScratch, pa, pb []float64, cross []complex128, fs float64, pool *workpool.Pool, mem *arena.Arena) error {
 	if fs <= 0 {
 		return fmt.Errorf("dsp: sample rate %g", fs)

@@ -49,7 +49,6 @@ import (
 	"math/rand"
 
 	"repro/internal/activity"
-	"repro/internal/buf"
 )
 
 // RefDistance is the reference antenna distance at which Source
@@ -416,27 +415,21 @@ type Envelopes struct {
 // over [m/fs, (m+1)/fs), so the result is correct even when the sample
 // period is comparable to the alternation period.
 //
-// dst, when non-nil, provides buffers to reuse (grown as needed) and is
-// also the return value; pass nil to allocate fresh envelopes. The rng
-// draws are exactly those of a SynthesizeGroups call with at least one
-// active group: the two initial fluctuation values, the edge phase, and
-// the per-period walk and fluctuation steps. It is one full-length
-// drain of an EnvelopeStream, so buffered and streaming synthesis are
-// bit-identical by construction.
-func SynthesizeEnvelopes(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand, dst *Envelopes) (*Envelopes, error) {
+// The rng draws are exactly those of a SynthesizeGroups call with at
+// least one active group: the two initial fluctuation values, the edge
+// phase, and the per-period walk and fluctuation steps. It is one
+// full-length drain of an EnvelopeStream, so buffered and streaming
+// synthesis are bit-identical by construction.
+func SynthesizeEnvelopes(alt Alternation, fs float64, n int, jit Jitter, rng *rand.Rand) (*Envelopes, error) {
 	es, err := NewEnvelopeStream(alt, fs, n, jit, rng)
 	if err != nil {
 		return nil, err
 	}
-	if dst == nil {
-		dst = &Envelopes{}
-	}
-	dst.A = buf.Grow(dst.A, n)
-	dst.B = buf.Grow(dst.B, n)
-	if _, err := es.Next(dst.A, dst.B); err != nil {
+	env := &Envelopes{A: make([]float64, n), B: make([]float64, n)}
+	if _, err := es.Next(env.A, env.B); err != nil {
 		return nil, err
 	}
-	return dst, nil
+	return env, nil
 }
 
 // SynthesizeGroups renders n complex baseband samples at rate fs for each
@@ -468,7 +461,7 @@ func (r *Radiator) SynthesizeGroups(alt Alternation, fs float64, n int, jit Jitt
 	if active == 0 {
 		return out, nil
 	}
-	env, err := SynthesizeEnvelopes(alt, fs, n, jit, rng, nil)
+	env, err := SynthesizeEnvelopes(alt, fs, n, jit, rng)
 	if err != nil {
 		return out, err
 	}

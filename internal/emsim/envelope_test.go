@@ -178,48 +178,23 @@ func TestSynthesizeGroupsSilentConsumesNoDraws(t *testing.T) {
 	}
 }
 
-func TestSynthesizeEnvelopesDstReuse(t *testing.T) {
+// SynthesizeEnvelopes renders n samples of each envelope, and the
+// envelope weights are occupancy fractions: with no amplitude noise
+// they sum to ≈1 per sample.
+func TestSynthesizeEnvelopesOccupancy(t *testing.T) {
 	alt := richAlt(t)
-	jit := DefaultJitter()
-	jit.AmpNoiseStd = 0.1
 	fs := float64(1 << 18)
 	n := 1024
 
-	fresh, err := SynthesizeEnvelopes(alt, fs, n, jit, rand.New(rand.NewSource(5)), nil)
+	env, err := SynthesizeEnvelopes(alt, fs, n, Jitter{}, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.A) != n || len(fresh.B) != n {
-		t.Fatalf("envelope lengths %d/%d", len(fresh.A), len(fresh.B))
-	}
-
-	// Reused dst: same values, same backing arrays, identical results.
-	dst := &Envelopes{A: make([]float64, 2*n), B: make([]float64, 4)}
-	keepA := &dst.A[0]
-	got, err := SynthesizeEnvelopes(alt, fs, n, jit, rand.New(rand.NewSource(5)), dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != dst {
-		t.Error("dst should be returned")
-	}
-	if &dst.A[0] != keepA {
-		t.Error("sufficient-capacity buffer should be reused")
+	if len(env.A) != n || len(env.B) != n {
+		t.Fatalf("envelope lengths %d/%d", len(env.A), len(env.B))
 	}
 	for m := 0; m < n; m++ {
-		if got.A[m] != fresh.A[m] || got.B[m] != fresh.B[m] {
-			t.Fatalf("sample %d differs after dst reuse", m)
-		}
-	}
-
-	// Envelope weights are occupancy fractions: with no amplitude noise
-	// they sum to ≈1 per sample.
-	quiet, err := SynthesizeEnvelopes(alt, fs, n, Jitter{}, rand.New(rand.NewSource(6)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m := 0; m < n; m++ {
-		if s := quiet.A[m] + quiet.B[m]; math.Abs(s-1) > 1e-9 {
+		if s := env.A[m] + env.B[m]; math.Abs(s-1) > 1e-9 {
 			t.Fatalf("sample %d occupancy %v, want 1", m, s)
 		}
 	}
@@ -228,15 +203,15 @@ func TestSynthesizeEnvelopesDstReuse(t *testing.T) {
 func TestSynthesizeEnvelopesErrors(t *testing.T) {
 	alt := richAlt(t)
 	rng := rand.New(rand.NewSource(8))
-	if _, err := SynthesizeEnvelopes(alt, 0, 10, Jitter{}, rng, nil); err == nil {
+	if _, err := SynthesizeEnvelopes(alt, 0, 10, Jitter{}, rng); err == nil {
 		t.Error("zero fs should fail")
 	}
-	if _, err := SynthesizeEnvelopes(alt, 1e6, 0, Jitter{}, rng, nil); err == nil {
+	if _, err := SynthesizeEnvelopes(alt, 1e6, 0, Jitter{}, rng); err == nil {
 		t.Error("zero n should fail")
 	}
 	bad := alt
 	bad.HalfSeconds[0] = 0
-	if _, err := SynthesizeEnvelopes(bad, 1e6, 10, Jitter{}, rng, nil); err == nil {
+	if _, err := SynthesizeEnvelopes(bad, 1e6, 10, Jitter{}, rng); err == nil {
 		t.Error("invalid alternation should fail")
 	}
 }
@@ -290,5 +265,74 @@ func TestPhaseAmplitudesErrors(t *testing.T) {
 	bad.HalfSeconds[0] = -1
 	if _, err := r.PhaseAmplitudes(bad, 1e6); err == nil {
 		t.Error("invalid alternation should fail")
+	}
+}
+
+// blockPartitions are the awkward block-size cycles the stream
+// partition tests drain over: single samples, a cycle of small primes
+// and odd sizes that straddles alternation edges and period boundaries
+// at every offset, a size that divides nothing in sight, and one block
+// one sample short of the capture followed by a one-sample tail.
+func blockPartitions(n int) [][]int {
+	return [][]int{{1}, {3, 1, 4, 1, 5, 9, 2, 6}, {999}, {4096, 1}, {n - 1}}
+}
+
+// TestEnvelopeStreamBlockPartitions is the envelope renderer's
+// block-invariance oracle: draining an EnvelopeStream over any block
+// partition must produce the one-block drain bit for bit and leave the
+// rng at the same point, so the streaming measurement path (which
+// drains segment by segment) and the reference pipeline (one block,
+// via SynthesizeEnvelopes) render the same envelopes from the same
+// seed.
+func TestEnvelopeStreamBlockPartitions(t *testing.T) {
+	alt := richAlt(t)
+	jit := DefaultJitter()
+	jit.AmpNoiseStd = 0.1
+	jit.DriftStd = 0.002
+	fs := float64(1 << 18)
+	const n, seed = 20011, 17
+
+	rng := rand.New(rand.NewSource(seed))
+	whole, err := NewEnvelopeStream(alt, fs, n, jit, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, wantB := make([]float64, n), make([]float64, n)
+	if k, err := whole.Next(wantA, wantB); err != nil || k != n {
+		t.Fatalf("one-block drain: %d samples, %v", k, err)
+	}
+	wantNext := rng.Int63()
+
+	for _, sizes := range blockPartitions(n) {
+		rng := rand.New(rand.NewSource(seed))
+		s, err := NewEnvelopeStream(alt, fs, n, jit, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotA, gotB := make([]float64, n), make([]float64, n)
+		off := 0
+		for i := 0; ; i++ {
+			end := min(off+sizes[i%len(sizes)], n) // an empty block once drained
+			k, err := s.Next(gotA[off:end], gotB[off:end])
+			if err != nil {
+				t.Fatalf("blocks %v: %v", sizes, err)
+			}
+			if k == 0 {
+				break
+			}
+			off += k
+		}
+		if off != n || s.Remaining() != 0 {
+			t.Fatalf("blocks %v: drained %d of %d samples, %d remaining", sizes, off, n, s.Remaining())
+		}
+		for m := 0; m < n; m++ {
+			if gotA[m] != wantA[m] || gotB[m] != wantB[m] {
+				t.Fatalf("blocks %v: sample %d is (%g, %g), one-block drain gives (%g, %g)",
+					sizes, m, gotA[m], gotB[m], wantA[m], wantB[m])
+			}
+		}
+		if got := rng.Int63(); got != wantNext {
+			t.Errorf("blocks %v: next rng draw %d, one-block drain leaves %d", sizes, got, wantNext)
+		}
 	}
 }

@@ -96,35 +96,15 @@ func Lab() Environment {
 
 // Apply adds one campaign's noise realization to the samples in place.
 // The same Environment with the same rng stream is fully deterministic.
+// It drains a Stream in bounded blocks, so there is exactly one copy of
+// the synthesis (and one rng draw order: background level, carrier
+// phases, then white noise in sample order), and buffered and streaming
+// noise are bit-identical by construction.
 func (e Environment) Apply(x []complex128, fs float64, rng *rand.Rand) error {
-	return e.realize(x, fs, rng, false)
-}
-
-// Render overwrites x with one campaign's noise realization: the same
-// values and rng draw order as Apply on a zeroed buffer, without
-// requiring the caller to clear it first. The measurement fast path uses
-// it to skip one full clear-then-accumulate pass per capture.
-func (e Environment) Render(x []complex128, fs float64, rng *rand.Rand) error {
-	return e.realize(x, fs, rng, true)
-}
-
-// realize drains a Stream over x, overwriting or adding. Routing both
-// buffered entry points through the streaming renderer keeps exactly
-// one copy of the synthesis (and one rng draw order: background level,
-// carrier phases, then white noise in sample order), so buffered and
-// streaming noise are bit-identical by construction.
-func (e Environment) realize(x []complex128, fs float64, rng *rand.Rand, overwrite bool) error {
 	var s Stream
 	if err := s.Init(e, fs, len(x), rng); err != nil {
 		return err
 	}
-	if overwrite {
-		_, err := s.Next(x)
-		return err
-	}
-	// Additive path: render in bounded blocks and accumulate. Blocking
-	// does not change the rendered values (see Stream), so Apply on a
-	// zeroed buffer equals Render bit for bit.
 	var tmp [1024]complex128
 	for off := 0; off < len(x); {
 		k, err := s.Next(tmp[:])

@@ -41,8 +41,8 @@ type carrierState struct {
 // Rendering the capture in one block or many produces bit-identical
 // samples: white draws are per-sample, carrier phasors carry across
 // blocks, and re-anchoring happens at fixed global indices
-// (multiples of carrierRenorm) regardless of blocking. Apply and
-// Render drain a Stream, so the buffered paths are the same code.
+// (multiples of carrierRenorm) regardless of blocking. Apply drains a
+// Stream, so the buffered path is the same code.
 //
 // A Stream is NOT safe for concurrent use, and the rng must not be
 // consumed by anything else between the first Next and the last.

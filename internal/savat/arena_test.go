@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -9,55 +10,66 @@ import (
 )
 
 // An arena-backed Measurer must produce bit-identical values to a
-// heap-backed one — including across a measurement-shape change, which
-// resets the arena and retires every carved buffer mid-sequence.
+// heap-backed one, cell after cell on one long-lived Measurer — exactly
+// how a campaign worker lives. The second lap re-measures with fresh
+// seeds through the warm, already-carved working set.
 func TestMeasurerArenaMatchesHeap(t *testing.T) {
 	mc := machine.Core2Duo()
-	cfgA := FastConfig()
-	cfgA.Duration = 1.0 / 16
-	cfgB := cfgA
-	cfgB.Duration = 1.0 / 32 // different capture length → different shape
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 16
 	pairs := [][2]Event{{ADD, LDM}, {LDL2, STL2}, {ADD, ADD}}
 
-	measure := func(cfg Config, m *Measurer, a, b Event) float64 {
-		t.Helper()
-		k, err := BuildKernel(mc, a, b, cfg.Frequency)
-		if err != nil {
-			t.Fatal(err)
+	heap := NewMeasurer(mc, cfg)
+	onArena := NewMeasurer(mc, cfg, WithArena(arena.New()))
+	for lap := 0; lap < 2; lap++ {
+		for _, p := range pairs {
+			k, err := BuildKernel(mc, p[0], p[1], cfg.Frequency)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := CampaignSeeds(7, p[0], lap)
+			want, err := heap.MeasureKernelSeeds(k, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := onArena.MeasureKernelSeeds(k, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.SAVAT != want.SAVAT {
+				t.Errorf("lap %d %v/%v: arena %g != heap %g (must be bit-identical)", lap, p[0], p[1], got.SAVAT, want.SAVAT)
+			}
 		}
-		meas, err := m.MeasureKernelSeeds(k, CampaignSeeds(7, a, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return meas.SAVAT
 	}
+}
 
-	// One Measurer per mode, reused across every cell and both shapes —
-	// exactly how a campaign worker lives.
-	heap := NewMeasurer(mc, cfgA)
-	heapB := NewMeasurer(mc, cfgB)
+// An arena never rewinds, so a working buffer carved per measurement
+// would grow it without bound. After one warm measurement, the
+// footprint of an arena-backed Measurer must stay unchanged across ten
+// more measurements of different kernels with fresh seeds — every one a
+// synthesis-cache miss that runs the whole streaming walk.
+func TestArenaFootprintStable(t *testing.T) {
+	mc := machine.Core2Duo()
+	cfg := FastConfig()
+	cfg.Duration = 1.0 / 16
 	ar := arena.New()
-	arena1 := NewMeasurer(mc, cfgA, WithArena(ar))
-	for _, p := range pairs {
-		want := measure(cfgA, heap, p[0], p[1])
-		if got := measure(cfgA, arena1, p[0], p[1]); got != want {
-			t.Errorf("%v/%v: arena %g != heap %g (must be bit-identical)", p[0], p[1], got, want)
-		}
+	m := NewMeasurer(mc, cfg, WithArena(ar))
+	rng := rand.New(rand.NewSource(3))
+	if _, err := m.Measure(ADD, LDM, rng); err != nil {
+		t.Fatal(err)
 	}
-	// Shape change on the same scratch and arena: the reset path.
-	arena2 := NewMeasurer(mc, cfgB, WithScratch(arena1.scratch), WithArena(ar))
-	for _, p := range pairs {
-		want := measure(cfgB, heapB, p[0], p[1])
-		if got := measure(cfgB, arena2, p[0], p[1]); got != want {
-			t.Errorf("%v/%v after shape change: arena %g != heap %g", p[0], p[1], got, want)
-		}
+	warm := ar.Footprint()
+	if warm == 0 {
+		t.Fatal("the warm measurement carved nothing from the arena")
 	}
-	// And back to the first shape: another reset, slabs already warm.
-	arena3 := NewMeasurer(mc, cfgA, WithScratch(arena1.scratch), WithArena(ar))
-	for _, p := range pairs {
-		want := measure(cfgA, heap, p[0], p[1])
-		if got := measure(cfgA, arena3, p[0], p[1]); got != want {
-			t.Errorf("%v/%v after shape round-trip: arena %g != heap %g", p[0], p[1], got, want)
+	events := Events()
+	for i := 0; i < 10; i++ {
+		a, b := events[i%len(events)], events[(3*i+1)%len(events)]
+		if _, err := m.Measure(a, b, rng); err != nil {
+			t.Fatal(err)
+		}
+		if got := ar.Footprint(); got != warm {
+			t.Fatalf("measurement %d (%v/%v): arena footprint %d bytes, %d after the warm measurement", i, a, b, got, warm)
 		}
 	}
 }

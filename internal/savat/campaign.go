@@ -156,7 +156,7 @@ func RunCampaignContext(ctx context.Context, mc machine.Config, cfg Config, opts
 			return cellKeyMaterial(mc, cfg, events[i], events[j], opts.Seed, r)
 		},
 		// Each engine worker owns one Measurer (and through it one
-		// MeasureScratch), so steady-state cells reuse sample buffers, FFT
+		// scratch), so steady-state cells reuse sample buffers, FFT
 		// plans, and per-pair alternation results without locking, while
 		// all workers share the campaign synthesis-product cache: a
 		// matrix row's envelope products and a repetition's noise PSD are

@@ -28,7 +28,7 @@ func TestFastPathMatchesReferenceFigure9(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
 	events := Events()
-	scratch := NewMeasureScratch()
+	fastM := NewMeasurer(mc, cfg) // one warm Measurer for every cell, like a campaign worker
 	var worst float64
 	for i, a := range events {
 		for j, b := range events {
@@ -37,7 +37,7 @@ func TestFastPathMatchesReferenceFigure9(t *testing.T) {
 				t.Fatalf("%v/%v: %v", a, b, err)
 			}
 			seed := mixSeed(1, uint64(a), uint64(b))
-			fast, err := NewMeasurer(mc, cfg, WithScratch(scratch)).MeasureKernel(k, rand.New(rand.NewSource(seed)))
+			fast, err := fastM.MeasureKernel(k, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("%v/%v fast: %v", a, b, err)
 			}
@@ -92,10 +92,10 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		}},
 	}
 	pairs := [][2]Event{{ADD, LDM}, {LDL2, STL2}, {DIV, ADD}}
-	scratch := NewMeasureScratch()
 	for vi, v := range variants {
 		cfg := base
 		v.tweak(&cfg)
+		fastM := NewMeasurer(v.mc, cfg) // reused across the variant's repetitions
 		a, b := pairs[vi%len(pairs)][0], pairs[vi%len(pairs)][1]
 		k, err := BuildKernel(v.mc, a, b, cfg.Frequency)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		}
 		for rep := 0; rep < 2; rep++ {
 			seed := mixSeed(uint64(100+vi), uint64(a), uint64(b), uint64(rep))
-			fast, err := NewMeasurer(v.mc, cfg, WithScratch(scratch)).MeasureKernel(k, rand.New(rand.NewSource(seed)))
+			fast, err := fastM.MeasureKernel(k, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("%s fast: %v", v.name, err)
 			}
@@ -164,9 +164,10 @@ func TestMeasureKernelScratchAllocs(t *testing.T) {
 	}
 }
 
-// The scratch is an optimization, never an observable: reusing one
-// across different configurations and kernels must give the same values
-// as fresh scratches.
+// The scratch is an optimization, never an observable: one Measurer
+// reused across kernels — back and forth, so every cache holds state
+// from another kernel — must give the same values as fresh Measurers,
+// for each of two configurations.
 func TestMeasureScratchReuseValueIndependent(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfgA := FastConfig()
@@ -174,31 +175,29 @@ func TestMeasureScratchReuseValueIndependent(t *testing.T) {
 	cfgB := cfgA
 	cfgB.Distance = 0.5
 	cfgB.Analyzer.RBW = 100
-	kA, err := BuildKernel(mc, ADD, LDM, cfgA.Frequency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kB, err := BuildKernel(mc, MUL, DIV, cfgB.Frequency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := NewMeasureScratch()
-	runs := []struct {
-		k   *Kernel
-		cfg Config
-	}{{kA, cfgA}, {kB, cfgB}, {kA, cfgB}, {kA, cfgA}}
-	for i, r := range runs {
-		seed := int64(1000 + i)
-		got, err := NewMeasurer(mc, r.cfg, WithScratch(shared)).MeasureKernel(r.k, rand.New(rand.NewSource(seed)))
+	for ci, cfg := range []Config{cfgA, cfgB} {
+		kA, err := BuildKernel(mc, ADD, LDM, cfg.Frequency)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewMeasurer(mc, r.cfg).MeasureKernel(r.k, rand.New(rand.NewSource(seed)))
+		kB, err := BuildKernel(mc, MUL, DIV, cfg.Frequency)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.SAVAT != want.SAVAT {
-			t.Errorf("run %d: shared scratch %g, fresh scratch %g", i, got.SAVAT, want.SAVAT)
+		shared := NewMeasurer(mc, cfg)
+		for i, k := range []*Kernel{kA, kB, kA, kB, kA} {
+			seed := int64(1000 + i)
+			got, err := shared.MeasureKernel(k, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewMeasurer(mc, cfg).MeasureKernel(k, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.SAVAT != want.SAVAT {
+				t.Errorf("config %d run %d: reused Measurer %g, fresh Measurer %g", ci, i, got.SAVAT, want.SAVAT)
+			}
 		}
 	}
 }

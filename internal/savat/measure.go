@@ -176,7 +176,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// alternation sets the phase amplitudes (droop compensation
 	// included) and its duty cycle d scales them by sin(πd), restoring
 	// the duty-d fundamental on the canonical 50/50 timeline — see
-	// MeasureScratch.prepare, whose coefficient computation this
+	// measureScratch.prepare, whose coefficient computation this
 	// mirrors.
 	radSp := mo.radiate.Start()
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
@@ -213,7 +213,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	streams := make([][]complex128, 0, active+1)
 	if active > 0 {
 		envs, err := emsim.SynthesizeEnvelopes(emsim.CanonicalTimeline(cfg.Frequency),
-			cfg.SampleRate, n, jit, rand.New(rand.NewSource(seeds.Env)), nil)
+			cfg.SampleRate, n, jit, rand.New(rand.NewSource(seeds.Env)))
 		if err != nil {
 			return Measurement{}, err
 		}

@@ -13,37 +13,19 @@ import (
 	"repro/internal/workpool"
 )
 
-// measureMode selects which of the three equivalent pipeline
-// implementations a Measurer runs.
-type measureMode int
-
-const (
-	// modeStream is the segment-fused streaming fast path: O(segment)
-	// working set, no sample-sized buffers. The default.
-	modeStream measureMode = iota
-	// modeBuffered materializes full captures and analyzes them with the
-	// buffered shared-envelope path; bit-identical to modeStream.
-	modeBuffered
-	// modeReference renders every coherence group in the time domain and
-	// analyzes each with its own Welch pass — the readable specification
-	// of the pipeline; equal to the fast paths within 1e-9 relative.
-	modeReference
-)
-
 // Measurer is the single entry point to the SAVAT measurement
 // pipeline: one machine and measurement configuration, bound at
-// construction, measured through whichever pipeline implementation the
-// options select. The zero option set is the right choice almost
-// always — the streaming fast path on a Measurer-owned scratch:
+// construction, measured through one of two pipeline implementations.
+// The zero option set is the right choice almost always — the
+// segment-fused streaming fast path (O(segment) working set, no
+// sample-sized buffers) on a Measurer-owned scratch:
 //
 //	m := savat.NewMeasurer(mc, cfg)
 //	meas, err := m.Measure(savat.ADD, savat.SUB, rng)
 //
 // Options:
 //
-//	WithScratch(s)     reuse the caller's MeasureScratch across Measurers
-//	WithBuffered()     capture-at-once path (bit-identical, O(capture) memory)
-//	WithReference()    direct-rendering reference pipeline
+//	WithReference()    direct-rendering reference pipeline (the oracle)
 //	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
@@ -56,15 +38,15 @@ const (
 // trace the caller owns. A Measurer is NOT safe for concurrent use —
 // the campaign engine gives each worker its own.
 type Measurer struct {
-	mc      machine.Config
-	cfg     Config
-	mode    measureMode
-	trace   bool
-	scratch *MeasureScratch
-	pool    *workpool.Pool
-	mobs    *measureObs
-	cache   *SynthCache
-	arena   *arena.Arena
+	mc        machine.Config
+	cfg       Config
+	reference bool
+	trace     bool
+	scratch   *measureScratch // nil for the reference pipeline
+	pool      *workpool.Pool
+	mobs      *measureObs
+	cache     *SynthCache
+	arena     *arena.Arena
 
 	// Effective measurement setup, resolved lazily on first measurement
 	// (NewMeasurer deliberately cannot fail): the configured channel's
@@ -89,23 +71,6 @@ type Measurer struct {
 // MeasureOption configures a Measurer at construction.
 type MeasureOption func(*Measurer)
 
-// WithScratch makes the Measurer measure through the caller's scratch
-// instead of owning a fresh one, sharing its buffers, FFT plans, and
-// alternation cache with whatever else uses it. A nil scratch is
-// allowed and equivalent to omitting the option.
-func WithScratch(s *MeasureScratch) MeasureOption {
-	return func(m *Measurer) { m.scratch = s }
-}
-
-// WithBuffered selects the capture-at-once pipeline: full envelope and
-// noise captures materialized in the scratch, analyzed with the
-// buffered shared-envelope path. Bit-identical to the default
-// streaming path; useful when the rendered captures themselves are
-// wanted.
-func WithBuffered() MeasureOption {
-	return func(m *Measurer) { m.mode = modeBuffered }
-}
-
 // WithTrace makes every Measurement carry its full display spectrum in
 // Measurement.Trace — a fresh trace per measurement, owned by the
 // caller. Without it the pipeline assembles only the spectrum bins the
@@ -118,23 +83,22 @@ func WithTrace() MeasureOption {
 
 // WithReference selects the direct-rendering reference pipeline: every
 // coherence group synthesized in the time domain and analyzed with its
-// own Welch pass. It consumes the same rng draws as the fast paths and
-// agrees with them within 1e-9 relative.
+// own Welch pass. It consumes the same rng draws as the fast path and
+// agrees with it within 1e-9 relative — it is the fast path's oracle.
 func WithReference() MeasureOption {
-	return func(m *Measurer) { m.mode = modeReference }
+	return func(m *Measurer) { m.reference = true }
 }
 
 // WithPool directs the spectrum analyzer's per-segment transforms
 // through p instead of the process-default pool. Results are
-// bit-identical for any pool. When combined with WithScratch, the
-// caller's scratch is retargeted to p.
+// bit-identical for any pool.
 func WithPool(p *workpool.Pool) MeasureOption {
 	return func(m *Measurer) { m.pool = p }
 }
 
 // WithSynthCache makes the Measurer read envelope and noise spectral
 // products through c — a concurrency-safe cache from NewSynthCache,
-// typically shared by many Measurers — instead of the scratch's private
+// typically shared by many Measurers — instead of a private
 // single-owner cache. Campaign workers share one cache this way so an
 // entire matrix row reuses its row event's envelope products (see
 // CampaignSeeds). A nil cache is equivalent to omitting the option.
@@ -145,10 +109,12 @@ func WithSynthCache(c *SynthCache) MeasureOption {
 }
 
 // WithArena backs the Measurer's scratch working set — rolling Welch
-// windows, in-flight segment transforms, the display accumulator, the
-// buffered noise capture — with the single-owner bump allocator a (see
-// internal/arena), so steady-state measurements perform zero heap
-// allocations. The arena must not be shared with any other scratch.
+// windows, in-flight segment transforms, the display accumulator —
+// with the single-owner bump allocator a (see internal/arena), so
+// steady-state measurements perform zero heap allocations. The working
+// set is carved on the first measurement and reused by every later one,
+// so the arena stops growing there. It must not be shared with any
+// other Measurer.
 // Values are identical with or without an arena; a nil a is equivalent
 // to omitting the option. The campaign engine installs one per worker.
 func WithArena(a *arena.Arena) MeasureOption {
@@ -177,17 +143,8 @@ func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer
 	for _, o := range opts {
 		o(m)
 	}
-	if m.scratch == nil && m.mode != modeReference {
-		m.scratch = NewMeasureScratch()
-	}
-	if m.scratch != nil && m.pool != nil {
-		m.scratch.SetAnalyzerPool(m.pool)
-	}
-	if m.scratch != nil && m.cache != nil {
-		m.scratch.cache = m.cache
-	}
-	if m.scratch != nil && m.arena != nil {
-		m.scratch.SetArena(m.arena)
+	if !m.reference {
+		m.scratch = newMeasureScratch(m.pool, m.cache, m.arena)
 	}
 	return m
 }
@@ -252,8 +209,8 @@ func (m *Measurer) buildKernel(a, b Event) (*Kernel, error) {
 
 // MeasureKernel measures a prebuilt kernel, avoiding re-calibration
 // across repetitions. The per-stage seeds are drawn from rng, so a
-// fixed rng state reproduces the measurement exactly — and every
-// pipeline implementation derives the identical seeds from the
+// fixed rng state reproduces the measurement exactly — and both
+// pipeline implementations derive the identical seeds from the
 // identical rng, which is what the conformance differentials rely on.
 func (m *Measurer) MeasureKernel(k *Kernel, rng *rand.Rand) (Measurement, error) {
 	if rng == nil {
@@ -297,8 +254,8 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // MeasureKernelSeeds measures a prebuilt kernel from explicit per-stage
 // seeds — the campaign entry point, where CampaignSeeds' scoping makes
 // row-mates share envelope products and repetition-mates share noise
-// products through the synthesis cache. The selected pipeline
-// implementation runs inside the savat.measure span.
+// products through the synthesis cache. The selected pipeline runs
+// inside the savat.measure span.
 func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
 	sp := m.mobs.measure.Start()
 	defer sp.End()
@@ -306,16 +263,11 @@ func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement,
 	if err != nil {
 		return Measurement{}, err
 	}
-	switch m.mode {
-	case modeBuffered:
-		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelBuffered(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.scratch, m.mobs)
-	case modeReference:
+	if m.reference {
 		return measureKernelReference(mc, k, cfg, law, seeds, m.trace, m.mobs)
-	default:
-		envKey, noiseKey := m.productKeys(seeds)
-		return measureKernelStream(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.scratch, m.mobs)
 	}
+	envKey, noiseKey := m.productKeys(seeds)
+	return m.scratch.measure(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.mobs)
 }
 
 // MeasurePair measures one event pair `repeats` times with the

@@ -77,10 +77,9 @@ func identicalMeasurements(t *testing.T, name string, a, b Measurement) {
 	}
 }
 
-// The streaming (default) and buffered Measurer modes must agree with
-// each other exactly (the shared-envelope contract), and the reference
-// pipeline must agree within 1e-9 relative (it computes the same
-// quantity through per-group Welch passes).
+// The streaming (default) Measurer and the reference pipeline must
+// agree within 1e-9 relative (the reference computes the same quantity
+// through per-group Welch passes) and on every metadata field.
 func TestMeasurerModeAgreement(t *testing.T) {
 	for _, s := range equivSpecs() {
 		cfg := equivConfig(s.tweak)
@@ -92,23 +91,22 @@ func TestMeasurerModeAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buffered, err := NewMeasurer(s.mc, cfg, WithBuffered(), WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, s.name+"/stream-vs-buffered", stream, buffered)
-
-		ref, err := NewMeasurer(s.mc, cfg, WithReference()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		ref, err := NewMeasurer(s.mc, cfg, WithReference(), WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rel := math.Abs(stream.SAVAT-ref.SAVAT) / math.Abs(ref.SAVAT); rel > 1e-9 {
 			t.Errorf("%s: stream %g vs reference %g (rel %g)", s.name, stream.SAVAT, ref.SAVAT, rel)
 		}
+		if stream.PairsPerSecond != ref.PairsPerSecond || stream.LoopCount != ref.LoopCount ||
+			stream.ActualFrequency != ref.ActualFrequency || stream.A != ref.A || stream.B != ref.B ||
+			stream.Trace.ActualRBW != ref.Trace.ActualRBW || stream.Trace.Spectrum.Bins() != ref.Trace.Spectrum.Bins() {
+			t.Errorf("%s: metadata stream %+v vs reference %+v", s.name, stream, ref)
+		}
 	}
 }
 
-// WithTrace only adds the spectrum: in every mode, the band-only
+// WithTrace only adds the spectrum: in both pipelines, the band-only
 // default and the traced measurement of the same seeds return
 // bit-identical SAVAT and band power, and only the traced one carries
 // a trace.
@@ -118,7 +116,6 @@ func TestWithTraceKeepsValues(t *testing.T) {
 		opts []MeasureOption
 	}{
 		{"stream", nil},
-		{"buffered", []MeasureOption{WithBuffered()}},
 		{"reference", []MeasureOption{WithReference()}},
 	}
 	for _, s := range equivSpecs() {
@@ -189,9 +186,10 @@ func TestMeasurementOutlivesNextMeasurement(t *testing.T) {
 	}
 }
 
-// An explicit WithScratch — fresh, or warmed by a previous measurement —
-// must never change a value relative to the Measurer's implicit private
-// scratch: scratch state is an optimization carrier only.
+// A Measurer's scratch state is an optimization carrier only: a
+// Measurer warmed by measurements of other kernels — alternation cache,
+// analyzer working set and product cache all populated — must return
+// exactly what a fresh Measurer returns, spectrum included.
 func TestMeasurerScratchInvariance(t *testing.T) {
 	for _, s := range equivSpecs() {
 		cfg := equivConfig(s.tweak)
@@ -199,27 +197,21 @@ func TestMeasurerScratchInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		implicit, err := NewMeasurer(s.mc, cfg, WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
+		fresh, err := NewMeasurer(s.mc, cfg, WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		explicit, err := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch()), WithTrace()).MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, s.name+"/implicit-vs-explicit-scratch", implicit, explicit)
-
-		// Warm a shared scratch with an unrelated measurement, then
-		// re-measure: the warmed result must stay bit-identical.
-		warm := NewMeasurer(s.mc, cfg, WithScratch(NewMeasureScratch()), WithTrace())
-		if _, err := warm.Measure(MUL, SUB, rand.New(rand.NewSource(99))); err != nil {
-			t.Fatal(err)
+		warm := NewMeasurer(s.mc, cfg, WithTrace())
+		for i, p := range [][2]Event{{MUL, SUB}, {LDL2, STM}} {
+			if _, err := warm.Measure(p[0], p[1], rand.New(rand.NewSource(int64(99+i)))); err != nil {
+				t.Fatal(err)
+			}
 		}
 		warmed, err := warm.MeasureKernel(k, rand.New(rand.NewSource(s.seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalMeasurements(t, s.name+"/warmed-scratch", implicit, warmed)
+		identicalMeasurements(t, s.name+"/warmed-measurer", fresh, warmed)
 	}
 }
 

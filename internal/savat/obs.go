@@ -12,7 +12,7 @@ type measureObs struct {
 	calibrate   *obs.Histogram // kernel construction with loop-count calibration
 	alternation *obs.Histogram // cycle-accurate alternation simulation
 	radiate     *obs.Histogram // radiator init + group phase amplitudes
-	synthesize  *obs.Histogram // buffered/reference time-domain rendering
+	synthesize  *obs.Histogram // product synthesis (streaming) or time-domain rendering (reference)
 	render      *obs.Histogram // band power (or full trace) from the products
 	altHits     *obs.Counter   // scratch alternation-cache hits
 	altMisses   *obs.Counter   // scratch alternation-cache misses

@@ -13,15 +13,6 @@ import (
 	"repro/internal/workpool"
 )
 
-// altKey identifies one deterministic alternation simulation: the
-// kernel (by identity — campaigns build one kernel per pair and share
-// it across repetitions), the machine, and the period counts.
-type altKey struct {
-	k          *Kernel
-	mc         machine.Config
-	warm, meas int
-}
-
 // seededRand is a reseedable rng: one source allocated on first use,
 // re-seeded per measurement stage so the steady-state path allocates no
 // rng state.
@@ -40,134 +31,84 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 	return s.rng
 }
 
-// MeasureScratch holds every reusable buffer of the measurement fast
-// path: the shared envelope streams, the noise capture, the spectrum
-// analyzer's working set, the radiator value, the per-stage rngs, a
-// cache of cycle-accurate alternation results (the simulation is
-// rng-free, so one result serves every repetition of a pair), and the
-// synthesis-product cache that lets cells sharing a stochastic
-// realization skip synthesis and Welch analysis entirely. A warmed
-// scratch lets the streaming path allocate no sample-sized buffers at
-// all.
+// measureScratch holds every reusable piece of one Measurer's
+// streaming pipeline: the envelope and noise stream sources, the
+// spectrum analyzer and its working set, the radiator value, the
+// per-stage rngs, a cache of cycle-accurate alternation results (the
+// simulation is rng-free, so one result serves every repetition of a
+// pair), and the synthesis-product cache that lets cells sharing a
+// stochastic realization skip synthesis and Welch analysis entirely.
+// The Measurer's effective machine and configuration are fixed, so
+// every buffer is sized on the first measurement and reused unchanged
+// by every later one; a warmed scratch allocates no sample-sized
+// buffers at all.
 //
-// A MeasureScratch is NOT safe for concurrent use; the campaign engine
-// gives each worker its own (the workers' scratches then share one
+// A measureScratch is NOT safe for concurrent use; the campaign engine
+// gives each worker its own Measurer (the workers then share one
 // concurrency-safe SynthCache — see CampaignOptions.SynthCache).
-type MeasureScratch struct {
-	env    emsim.Envelopes
-	noise  []complex128
+type measureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
 	specan *specan.Scratch
-	alts   map[altKey]*AlternationResult
-	hiers  map[memhier.Config]*memhier.Hierarchy
+	alts   map[*Kernel]*AlternationResult
+	hier   *memhier.Hierarchy
 	cache  *SynthCache
 
 	// Per-stage rngs, reseeded from the measurement's SynthSeeds.
 	calRng, envRng, noiseRng seededRand
 
-	// Streaming sources, re-initialized per measurement. Only the
-	// buffered path (WithBuffered) materializes env and noise above;
-	// the streaming path renders through these instead.
+	// Streaming sources, re-initialized per measurement.
 	envStream   emsim.EnvelopeStream
 	noiseStream noise.Stream
 
-	analyzer    *specan.Analyzer
-	analyzerCfg specan.Config
-
-	// mem is the scratch's bump allocator for the shape-dependent
-	// working set (see internal/arena); nil means plain heap buffers.
-	// prepare resets it — retiring every carved buffer at once — exactly
-	// when the measurement shape below changes, which is the one point
-	// where no carved buffer of the new shape is live yet (the reset
-	// drops s.noise, the one arena-carved buffer this struct itself
-	// caches; specan.Scratch tracks the epoch for its own).
-	mem      *arena.Arena
-	memShape measureShape
+	analyzer *specan.Analyzer
 }
 
-// measureShape is everything the sizes of the arena-carved working
-// buffers depend on: the capture length (via duration and rate) and the
-// segmentation (via the analyzer config). Equal shapes carve equal
-// sizes, so the arena never grows between resets.
-type measureShape struct {
-	n        int
-	rate     float64
-	analyzer specan.Config
-}
-
-// NewMeasureScratch returns an empty scratch; buffers are sized on
-// first use.
-func NewMeasureScratch() *MeasureScratch {
-	return &MeasureScratch{
-		specan: specan.NewScratch(),
-		alts:   make(map[altKey]*AlternationResult),
-		hiers:  make(map[memhier.Config]*memhier.Hierarchy),
+// newMeasureScratch returns an empty scratch whose analyzer transforms
+// run on pool (workpool.Default when nil), whose products are read
+// through cache (a private single-owner cache when nil), and whose
+// working buffers are carved from mem (the heap when nil). Buffers are
+// sized on first use.
+func newMeasureScratch(pool *workpool.Pool, cache *SynthCache, mem *arena.Arena) *measureScratch {
+	sp := specan.NewScratch()
+	sp.Pool, sp.Mem = pool, mem
+	if cache == nil {
+		cache = newPrivateSynthCache()
 	}
+	return &measureScratch{specan: sp, alts: make(map[*Kernel]*AlternationResult), cache: cache}
 }
 
-// SetAnalyzerPool directs the spectrum analyzer's per-segment
-// transforms through p instead of the process-default pool. The default
-// is right for campaigns — workers and segment transforms share one
-// CPU budget — but tests (and callers that know the machine is
-// otherwise idle) can hand each scratch an explicit pool to force
-// parallel segment transforms regardless of GOMAXPROCS. Results are
-// bit-identical either way: segment PSDs are reduced in capture order.
-func (s *MeasureScratch) SetAnalyzerPool(p *workpool.Pool) { s.specan.Pool = p }
-
-// SetArena backs the scratch's shape-dependent working buffers — and
-// the embedded analyzer scratch's — with a, a single-owner bump
-// allocator that must not be shared with any other scratch. A nil a
-// restores plain heap buffers. Values are identical either way; the
-// arena only changes where the working set lives. The campaign engine
-// installs one per worker (see WithArena).
-func (s *MeasureScratch) SetArena(a *arena.Arena) {
-	s.mem = a
-	s.specan.Mem = a
-	s.memShape = measureShape{} // force a reset on the next prepare
-}
-
-// synthCache returns the scratch's product cache, defaulting to a
-// private single-owner one. Campaigns and WithSynthCache install a
-// shared concurrency-safe cache instead.
-func (s *MeasureScratch) synthCache() *SynthCache {
-	if s.cache == nil {
-		s.cache = newPrivateSynthCache()
-	}
-	return s.cache
-}
-
-// alternation returns the cached steady-state alternation of (k, mc),
-// simulating it on first need. Alternation is deterministic — it
-// consumes no rng — so caching cannot change any measured value.
-func (s *MeasureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, mo *measureObs) (*AlternationResult, error) {
-	key := altKey{k: k, mc: mc, warm: cfg.WarmupPeriods, meas: cfg.MeasurePeriods}
-	if alt, ok := s.alts[key]; ok {
+// alternation returns the cached steady-state alternation of k on the
+// Measurer's machine and period counts — both fixed, so the kernel (by
+// identity: campaigns build one kernel per pair and share it across
+// repetitions) is the whole key — simulating it on first need.
+// Alternation is deterministic — it consumes no rng — so caching cannot
+// change any measured value.
+func (s *measureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, mo *measureObs) (*AlternationResult, error) {
+	if alt, ok := s.alts[k]; ok {
 		mo.altHits.Inc()
 		return alt, nil
 	}
 	mo.altMisses.Inc()
-	hier, ok := s.hiers[mc.Mem]
-	if !ok {
-		var err error
-		if hier, err = memhier.New(mc.Mem); err != nil {
+	if s.hier == nil {
+		hier, err := memhier.New(mc.Mem)
+		if err != nil {
 			return nil, err
 		}
-		s.hiers[mc.Mem] = hier
+		s.hier = hier
 	}
-	alt, err := k.alternationHier(mc, cfg.WarmupPeriods, cfg.MeasurePeriods, hier)
+	alt, err := k.alternationHier(mc, cfg.WarmupPeriods, cfg.MeasurePeriods, s.hier)
 	if err != nil {
 		return nil, err
 	}
-	s.alts[key] = alt
+	s.alts[k] = alt
 	return alt, nil
 }
 
 // prepare runs the shared front half of a measurement — validation,
 // the cached cycle-accurate alternation, radiator calibration (on the
 // Cal seed), and the duty-scaled group-coefficient filter (left in
-// s.coeffs) — and caches the analyzer. Both the streaming and buffered
-// paths start here.
+// s.coeffs) — and builds the analyzer on first use.
 //
 // The returned canon timeline is the canonical 50/50 alternation at the
 // nominal frequency — the one every cell of a campaign row synthesizes
@@ -178,7 +119,7 @@ func (s *MeasureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, m
 // fundamental-band power while keeping the envelope realization — and
 // therefore its cached spectral products — pair-independent. Droop
 // compensation stays on the pair's achieved period via PhaseAmplitudes.
-func (s *MeasureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
+func (s *measureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
 	if err = cfg.Validate(); err != nil {
 		return nil, canon, 0, jit, err
 	}
@@ -206,16 +147,6 @@ func (s *MeasureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law e
 		HalfSeconds: alt.HalfSeconds,
 	}
 	n = int(cfg.Duration * cfg.SampleRate)
-	if s.mem != nil {
-		if sh := (measureShape{n: n, rate: cfg.SampleRate, analyzer: cfg.Analyzer}); sh != s.memShape {
-			// New measurement shape: every arena-backed buffer will be
-			// re-carved at its new size, so this is the one safe point to
-			// rewind the slabs. Consumers notice through the epoch.
-			s.memShape = sh
-			s.mem.Reset()
-			s.noise = nil
-		}
-	}
 	jit = cfg.Jitter
 	if jit.AmpNoiseStd == 0 {
 		jit.AmpNoiseStd = mc.AmplitudeNoiseStd
@@ -234,12 +165,10 @@ func (s *MeasureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law e
 	s.coeffs = coeffs
 	canon = emsim.CanonicalTimeline(cfg.Frequency)
 
-	if s.analyzer == nil || s.analyzerCfg != cfg.Analyzer {
-		var an *specan.Analyzer
-		if an, err = specan.New(cfg.Analyzer); err != nil {
+	if s.analyzer == nil {
+		if s.analyzer, err = specan.New(cfg.Analyzer); err != nil {
 			return nil, canon, 0, jit, err
 		}
-		s.analyzer, s.analyzerCfg = an, cfg.Analyzer
 	}
 	return alt, canon, n, jit, nil
 }
@@ -260,12 +189,12 @@ func finish(k *Kernel, alt *AlternationResult, p float64, tr *specan.Trace) Meas
 	}
 }
 
-// render is the last stage of both scratch paths: the band power from
+// render is the last stage of the streaming path: the band power from
 // the products — over the band's display bins only, unless the caller
 // asked for a trace, which is then rendered in full into fresh,
 // caller-owned memory (Render on a nil scratch) and read with
 // Trace.BandPower. The two routes are bit-identical.
-func (s *MeasureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD []float64, trace bool, mo *measureObs) (float64, *specan.Trace, error) {
+func (s *measureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD []float64, trace bool, mo *measureObs) (float64, *specan.Trace, error) {
 	sp := mo.render.Start()
 	defer sp.End()
 	if !trace {
@@ -280,27 +209,23 @@ func (s *MeasureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD
 	return p, tr, err
 }
 
-// measureKernelStream is the streaming fast path behind the default
-// Measurer mode: the envelope and noise spectral products are read
-// through the synthesis-product cache — computed, on a miss, by the
-// O(segment) streaming renderers (emsim.EnvelopeStream + noise.Stream
-// feeding specan's product walks) into cache-owned buffers; skipped
-// entirely on a hit — and the band power is assembled by the FFT-free
+// measure is the streaming fast path behind the default Measurer: the
+// envelope and noise spectral products are read through the
+// synthesis-product cache — computed, on a miss, by the O(segment)
+// streaming renderers (emsim.EnvelopeStream + noise.Stream feeding
+// specan's product walks) into cache-owned buffers; skipped entirely on
+// a hit — and the band power is assembled by the FFT-free
 // specan.BandPower (or, with trace set, specan.Render into a fresh
-// trace). Values are bit-identical to measureKernelBuffered (the
-// per-segment primitives are shared and the reduction order is fixed)
-// and match the reference pipeline within rounding (the equivalence
-// tests bound the relative difference by 1e-9). A nil scratch is
-// allowed; a fresh one is used.
-func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, s *MeasureScratch, mo *measureObs) (Measurement, error) {
-	if s == nil {
-		s = NewMeasureScratch()
-	}
+// trace). The products are bit-identical to dsp's buffered Welch over
+// the materialized captures (the specan, emsim and noise tests pin
+// this), and the values match the reference pipeline within rounding
+// (the equivalence tests bound the relative difference by 1e-9).
+func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, mo *measureObs) (Measurement, error) {
 	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
 	if err != nil {
 		return Measurement{}, err
 	}
-	cache := s.synthCache()
+	cache := s.cache
 
 	// 3+4. Synthesis and per-segment Welch analysis, fused and cached:
 	// a miss streams the envelope pair (guarded exactly like
@@ -330,71 +255,6 @@ func measureKernelStream(mc machine.Config, k *Kernel, cfg Config, law emsim.Dis
 			return nil, err
 		}
 		return s.analyzer.NoiseProductsStream(n, &s.noiseStream, cfg.SampleRate, s.specan, dst)
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-
-	p, tr, err := s.render(n, cfg, env, noisePSD, trace, mo)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return finish(k, alt, p, tr), nil
-}
-
-// measureKernelBuffered is the capture-at-once form of
-// measureKernelStream: it always materializes the full envelope and
-// noise captures in the scratch (callers that want the rendered
-// captures get them even on a cache hit) and reads the spectral
-// products through the same cache — computed, on a miss, by the
-// buffered Welch passes over those captures. It produces bit-identical
-// Measurements to measureKernelStream — the conformance suite asserts
-// this — at O(capture) memory; it exists as the plain-shaped oracle for
-// the streaming path and for callers that want the captures.
-func measureKernelBuffered(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, s *MeasureScratch, mo *measureObs) (Measurement, error) {
-	if s == nil {
-		s = NewMeasureScratch()
-	}
-	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
-	if err != nil {
-		return Measurement{}, err
-	}
-	cache := s.synthCache()
-
-	// 3. Full-capture synthesis: both shared envelope streams, then the
-	// environment noise as one more incoherent contribution. Render
-	// overwrites the buffers, so the previous cell's capture needs no
-	// clear.
-	synSp := mo.synthesize.Start()
-	var env *specan.PairPSD
-	if len(s.coeffs) > 0 {
-		if _, err := emsim.SynthesizeEnvelopes(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env), &s.env); err != nil {
-			synSp.End()
-			return Measurement{}, err
-		}
-	}
-	if cap(s.noise) >= n {
-		s.noise = s.noise[:n]
-	} else {
-		s.noise = s.mem.Complexes(n) // nil-safe: heap when no arena
-	}
-	err = cfg.Environment.Render(s.noise, cfg.SampleRate, s.noiseRng.at(seeds.Noise))
-	synSp.End()
-	if err != nil {
-		return Measurement{}, err
-	}
-
-	// 4. Buffered spectrum analysis, products read through the cache.
-	if len(s.coeffs) > 0 {
-		env, err = cache.envProducts(envKey, func(dst *specan.PairPSD) (*specan.PairPSD, error) {
-			return s.analyzer.EnvelopeProducts(s.env.A, s.env.B, cfg.SampleRate, s.specan, dst)
-		})
-		if err != nil {
-			return Measurement{}, err
-		}
-	}
-	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
-		return s.analyzer.NoiseProducts(s.noise, cfg.SampleRate, s.specan, dst)
 	})
 	if err != nil {
 		return Measurement{}, err

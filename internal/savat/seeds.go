@@ -81,8 +81,8 @@ func CounterSeed(base int64, a, b Event) int64 {
 
 // seedsFromRNG derives per-stage seeds from a caller's measurement rng
 // — the rng-taking entry points remain deterministic functions of the
-// rng state, and every pipeline implementation (streaming, buffered,
-// reference) derives the identical seeds from the identical rng.
+// rng state, and both pipeline implementations (streaming and
+// reference) derive the identical seeds from the identical rng.
 func seedsFromRNG(rng *rand.Rand) SynthSeeds {
 	return SynthSeeds{Cal: rng.Int63(), Env: rng.Int63(), Noise: rng.Int63()}
 }

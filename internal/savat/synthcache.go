@@ -35,7 +35,7 @@ var (
 // the backing arrays alive.
 //
 // The scratch-private variant (newPrivateSynthCache) is single-owner —
-// a MeasureScratch is not safe for concurrent use, and its cache
+// a Measurer is not safe for concurrent use, and its cache
 // inherits that contract — which buys two things: no in-flight
 // protocol, and recycling of evicted entries' buffers into later
 // computations, so a steady stream of distinct-seed measurements

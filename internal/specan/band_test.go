@@ -16,11 +16,7 @@ import (
 func TestBandPowerMatchesRender(t *testing.T) {
 	const n = 1 << 13
 	an, envA, envB, coeffs, noise, fs := streamFixture(t, n)
-	env, err := an.EnvelopeProducts(envA, envB, fs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisePSD, err := an.NoiseProducts(noise, fs, nil, nil)
+	env, noisePSD, err := streamProducts(an, n, envA, envB, noise, fs, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

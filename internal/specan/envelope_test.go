@@ -35,7 +35,13 @@ func randomEnvelopes(rng *rand.Rand, n int) (a, b []float64) {
 	return a, b
 }
 
-func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
+// TestStreamProductsMatchIncoherent checks the shared-envelope
+// factorization end to end at the analyzer: the streaming products of
+// the envelope pair and the noise, combined by Render with the group
+// coefficients, must reproduce AnalyzeIncoherent over the rendered group
+// streams plus the noise — the per-group Welch passes the reference
+// pipeline runs — up to rounding.
+func TestStreamProductsMatchIncoherent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 1 << 12
 	fs := 1e5
@@ -58,10 +64,20 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var peak float64
+	for _, v := range want.Spectrum.PSD {
+		if v > peak {
+			peak = v
+		}
+	}
 
 	scratch := NewScratch()
 	for pass := 0; pass < 2; pass++ { // second pass: warmed scratch, same result
-		got, err := a.AnalyzeEnvelopes(envA, envB, coeffs, noise, fs, scratch)
+		env, noisePSD, err := streamProducts(a, n, envA, envB, noise, fs, 999, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Render(n, coeffs, env, noisePSD, fs, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +87,6 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 		if got.Spectrum.Bins() != want.Spectrum.Bins() {
 			t.Fatalf("pass %d bins %d, want %d", pass, got.Spectrum.Bins(), want.Spectrum.Bins())
 		}
-		var peak float64
-		for _, v := range want.Spectrum.PSD {
-			if v > peak {
-				peak = v
-			}
-		}
 		for k := range want.Spectrum.PSD {
 			if d := math.Abs(got.Spectrum.PSD[k] - want.Spectrum.PSD[k]); d > 1e-12*peak {
 				t.Fatalf("pass %d bin %d: %g, want %g (Δ %g)", pass, k, got.Spectrum.PSD[k], want.Spectrum.PSD[k], d)
@@ -84,8 +94,12 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 		}
 	}
 
-	// Nil scratch allocates a private one and must agree too.
-	got, err := a.AnalyzeEnvelopes(envA, envB, coeffs, noise, fs, nil)
+	// Nil scratches allocate private ones and must agree too.
+	env, noisePSD, err := streamProducts(a, n, envA, envB, noise, fs, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Render(n, coeffs, env, noisePSD, fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +110,12 @@ func TestAnalyzeEnvelopesMatchesIncoherent(t *testing.T) {
 	}
 }
 
-// Without coefficients the call degenerates to a plain incoherent
-// analysis of the extra stream; without anything it must report
-// ErrNoCaptures, as AnalyzeIncoherent now does.
-func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
+// Without coefficients a render degenerates to the floored noise PSD,
+// which is exactly a plain incoherent analysis of the noise capture;
+// without anything it must report ErrNoCaptures, as AnalyzeIncoherent
+// does. Products that do not match the capture's segmentation, and
+// captures the analyzer cannot segment, are rejected.
+func TestRenderNoiseOnlyAndErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 1 << 10
 	fs := 1e5
@@ -112,33 +128,45 @@ func TestAnalyzeEnvelopesNoiseOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.AnalyzeEnvelopes(nil, nil, nil, noise, fs, nil)
+	_, noisePSD, err := streamProducts(a, n, nil, nil, noise, fs, 999, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.Spectrum.PSD {
-		if got.Spectrum.PSD[k] != want.Spectrum.PSD[k] {
-			t.Fatalf("noise-only bin %d: %g, want %g", k, got.Spectrum.PSD[k], want.Spectrum.PSD[k])
-		}
+	got, err := a.Render(n, nil, nil, noisePSD, fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin := firstDiff(got.Spectrum.PSD, want.Spectrum.PSD); bin >= 0 {
+		t.Fatalf("noise-only bin %d: %g, want %g", bin, got.Spectrum.PSD[bin], want.Spectrum.PSD[bin])
 	}
 
-	if _, err := a.AnalyzeEnvelopes(nil, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
+	if _, err := a.Render(n, nil, nil, nil, fs, nil); !errors.Is(err, ErrNoCaptures) {
 		t.Errorf("all-nil should return ErrNoCaptures, got %v", err)
 	}
 	if _, err := a.AnalyzeIncoherent([][]complex128{nil, nil}, fs); !errors.Is(err, ErrNoCaptures) {
 		t.Errorf("all-nil incoherent should return ErrNoCaptures, got %v", err)
 	}
-	if _, err := a.AnalyzeEnvelopes(nil, nil, nil, noise, 0, nil); err == nil {
+	if _, err := a.Render(n, nil, nil, noisePSD, 0, nil); err == nil {
 		t.Error("zero sample rate should fail")
 	}
 	env := make([]float64, n)
-	if _, err := a.AnalyzeEnvelopes(env, env[:8], [][2]complex128{{1, 1}}, nil, fs, nil); err == nil {
-		t.Error("envelope length mismatch should fail")
+	if _, _, err := streamProducts(a, n, env, env, nil, 0, 999, nil); err == nil {
+		t.Error("zero sample rate should fail the envelope walk")
 	}
-	if _, err := a.AnalyzeEnvelopes(env, env, [][2]complex128{{1, 1}}, noise[:8], fs, nil); err == nil {
-		t.Error("extra length mismatch should fail")
+	if _, err := a.EnvelopeProductsStream(n, &slicePairSource{a: env[:8], b: env[:8], block: 999}, fs, nil, nil); err == nil {
+		t.Error("an envelope source that drains early should fail")
 	}
-	if _, err := a.AnalyzeEnvelopes(env[:1], env[:1], [][2]complex128{{1, 1}}, nil, fs, nil); err == nil {
+	if _, err := a.NoiseProductsStream(n, nil, fs, nil, nil); err == nil {
+		t.Error("nil sample source should fail")
+	}
+	short := &PairPSD{PA: make([]float64, 8), PB: make([]float64, 8), Cross: make([]complex128, 8)}
+	if _, err := a.Render(n, [][2]complex128{{1, 1}}, short, nil, fs, nil); err == nil {
+		t.Error("envelope products at the wrong segment length should fail")
+	}
+	if _, err := a.Render(n, nil, nil, noisePSD[:8], fs, nil); err == nil {
+		t.Error("noise PSD at the wrong segment length should fail")
+	}
+	if _, _, err := streamProducts(a, 1, env[:1], env[:1], nil, fs, 999, nil); err == nil {
 		t.Error("one-sample capture should fail")
 	}
 }

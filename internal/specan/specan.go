@@ -223,8 +223,8 @@ func (p *PairPSD) grow(seg int) {
 }
 
 // Scratch holds the reusable working set of the envelope analysis — the
-// Welch scratch, the scratch-owned products, and the display
-// accumulator — so steady-state measurement cells allocate no
+// Welch scratch, the streaming windows and segment feeds, and the
+// display accumulator — so steady-state measurement cells allocate no
 // sample-sized buffers. A Scratch adapts itself to whatever segment
 // length and window a call needs (rebuilding is the only allocating
 // path) and is NOT safe for concurrent use.
@@ -234,20 +234,16 @@ type Scratch struct {
 	// workpool.Default. Results are bit-identical for any pool.
 	Pool *workpool.Pool
 
-	// Mem, when non-nil, backs the scratch's shape-dependent working
-	// buffers — the rolling windows, the display accumulator, the
-	// in-flight segment transforms — with the owner's per-worker bump
-	// allocator instead of the heap. The owner resets the arena only
-	// when the measurement shape changes (see internal/arena's lifetime
-	// rules); the scratch re-carves after every reset, tracked by
-	// memGen. Published products (PairPSD, noise PSDs handed to caches)
-	// are never arena-backed.
-	Mem    *arena.Arena
-	memGen uint64
+	// Mem, when non-nil, backs the scratch's working buffers — the
+	// rolling windows, the display accumulator, the in-flight segment
+	// transforms — with the owner's per-worker bump allocator instead of
+	// the heap. A buffer is carved once at the size it first needs and
+	// reused from then on; only a larger capture shape carves again.
+	// Published products (PairPSD, noise PSDs handed to caches) are never
+	// arena-backed.
+	Mem *arena.Arena
 
 	welch    *dsp.WelchScratch
-	prod     PairPSD
-	noisePSD []float64
 	sum      []float64
 	trace    Trace
 	spectrum dsp.Spectrum
@@ -264,23 +260,9 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers are sized on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// refreshEpoch drops every arena-carved buffer when the arena has
-// entered a new epoch since they were carved — their memory belongs to
-// the next carver now, whatever their capacity. Heap-backed scratches
-// (Mem == nil) never drop anything.
-func (s *Scratch) refreshEpoch() {
-	if s.Mem == nil {
-		return
-	}
-	if g := s.Mem.Gen(); g != s.memGen {
-		s.memGen = g
-		s.wa, s.wb, s.wn, s.sum = nil, nil, nil, nil
-	}
-}
-
-// growFloats sizes an arena-epoch-managed float buffer: reuse within
-// the epoch, carve (from the arena, or the heap when none) otherwise.
-// Callers must have run refreshEpoch this analysis call.
+// growFloats sizes a working float buffer: reuse it when it is big
+// enough, carve a new one (from the arena, or the heap when none)
+// otherwise.
 func (s *Scratch) growFloats(b []float64, n int) []float64 {
 	if cap(b) >= n {
 		return b[:n]
@@ -323,7 +305,6 @@ func (a *Analyzer) setup(n int, fs float64, s *Scratch) (seg int, enbw float64, 
 	if err != nil {
 		return 0, 0, err
 	}
-	s.refreshEpoch()
 	return seg, enbw, s.prepare(seg, a.cfg.Window)
 }
 
@@ -411,57 +392,6 @@ func (s *Scratch) traceFor(fs float64, seg int, enbw, floor float64) *Trace {
 		FloorPSD:  floor,
 	}
 	return &s.trace
-}
-
-// EnvelopeProducts computes the pair-Welch products of the envelope
-// pair at the segmentation an n = len(envA) capture gets, into dst
-// (grown as needed; nil allocates a fresh PairPSD) and returns it. The
-// products depend only on the envelopes, the sample rate, and the
-// analyzer's RBW/window — not on group coefficients or the floor — so
-// callers may cache and share them across every measurement rendered
-// from the same envelope realization.
-func (a *Analyzer) EnvelopeProducts(envA, envB []float64, fs float64, s *Scratch, dst *PairPSD) (*PairPSD, error) {
-	sp := mAnalyze.Start()
-	defer sp.End()
-	if len(envA) != len(envB) {
-		return nil, fmt.Errorf("specan: envelope length mismatch %d vs %d", len(envA), len(envB))
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	seg, _, err := a.setup(len(envA), fs, s)
-	if err != nil {
-		return nil, err
-	}
-	if dst == nil {
-		dst = &PairPSD{}
-	}
-	dst.grow(seg)
-	if err := s.welch.WelchPairInto(dst.PA, dst.PB, dst.Cross, envA, envB, fs); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// NoiseProducts computes the Welch PSD of the complex capture x at the
-// segmentation an n = len(x) capture gets, into dst (grown as needed;
-// nil allocates) and returns it. Like EnvelopeProducts, the result is
-// coefficient- and floor-independent and may be cached and shared.
-func (a *Analyzer) NoiseProducts(x []complex128, fs float64, s *Scratch, dst []float64) ([]float64, error) {
-	sp := mAnalyze.Start()
-	defer sp.End()
-	if s == nil {
-		s = NewScratch()
-	}
-	seg, _, err := a.setup(len(x), fs, s)
-	if err != nil {
-		return nil, err
-	}
-	dst = buf.Grow(dst, seg)
-	if err := s.welch.WelchInto(dst, x, fs); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // Render combines precomputed products into the displayed trace for an
@@ -554,73 +484,8 @@ func (a *Analyzer) renderSetup(n int, coeffs [][2]complex128, env *PairPSD, nois
 	if noisePSD != nil && len(noisePSD) != seg {
 		return 0, 0, fmt.Errorf("specan: noise PSD length %d, segment length %d", len(noisePSD), seg)
 	}
-	// Render and BandPower are reachable without setup (cache-hit
-	// measurements call them directly), so they must honour the arena
-	// epoch themselves.
-	s.refreshEpoch()
 	s.sum = s.growFloats(s.sum, seg)
 	return seg, enbw, nil
-}
-
-// AnalyzeEnvelopes records the summed incoherent spectrum of a family
-// of streams that are all linear combinations of the same two REAL
-// envelope streams — stream g is coeffs[g][0]·envA + coeffs[g][1]·envB
-// — plus one optional extra complex capture (the noise stream; nil to
-// omit). No group stream is ever rendered: by Welch linearity the
-// per-bin group-sum PSD is
-//
-//	CA·|WA|² + CB·|WB|² + 2·Re(CX·WA·conj(WB))
-//
-// with CA = Σ|a_g|², CB = Σ|b_g|², CX = Σ a_g·conj(b_g), so the whole
-// family costs one packed envelope FFT pass plus one noise pass instead
-// of one full Welch pass per stream. The result equals
-// AnalyzeIncoherent over the rendered streams up to rounding.
-//
-// It is exactly EnvelopeProducts + NoiseProducts + Render on the
-// scratch-owned product buffers.
-//
-// The returned Trace aliases the scratch's buffers: it is valid until
-// the scratch's next Analyze call. Pass a nil scratch to allocate a
-// private one (and a fresh, unaliased Trace).
-func (a *Analyzer) AnalyzeEnvelopes(envA, envB []float64, coeffs [][2]complex128, extra []complex128, fs float64, s *Scratch) (*Trace, error) {
-	if fs <= 0 {
-		return nil, fmt.Errorf("specan: sample rate %g", fs)
-	}
-	if len(envA) != len(envB) {
-		return nil, fmt.Errorf("specan: envelope length mismatch %d vs %d", len(envA), len(envB))
-	}
-	n := -1
-	if len(coeffs) > 0 {
-		n = len(envA)
-	}
-	if extra != nil {
-		if n >= 0 && len(extra) != n {
-			return nil, fmt.Errorf("specan: capture length mismatch %d vs %d", len(extra), n)
-		}
-		n = len(extra)
-	}
-	if n < 0 {
-		return nil, ErrNoCaptures
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	var env *PairPSD
-	if len(coeffs) > 0 {
-		var err error
-		if env, err = a.EnvelopeProducts(envA, envB, fs, s, &s.prod); err != nil {
-			return nil, err
-		}
-	}
-	var noisePSD []float64
-	if extra != nil {
-		var err error
-		if noisePSD, err = a.NoiseProducts(extra, fs, s, s.noisePSD); err != nil {
-			return nil, err
-		}
-		s.noisePSD = noisePSD
-	}
-	return a.Render(n, coeffs, env, noisePSD, fs, s)
 }
 
 // BandPower integrates the displayed PSD over center ± halfSpan Hz and

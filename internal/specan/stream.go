@@ -53,8 +53,8 @@ func fill(src SampleSource, dst []complex128) error {
 
 // drainPair consumes src to exhaustion, discarding samples into the
 // scrap windows. The Welch walk ignores any tail shorter than half a
-// segment, but the sources' rng draws must still happen so streaming
-// and buffered analyses consume identical randomness.
+// segment, but the source still renders it, so it ends — rng included —
+// exactly where a one-block render of the whole capture would.
 func drainPair(src PairSource, a, b []float64) error {
 	for {
 		k, err := src.Next(a, b)
@@ -79,15 +79,19 @@ func drain(src SampleSource, dst []complex128) error {
 	}
 }
 
-// EnvelopeProductsStream is EnvelopeProducts over a source instead of
-// buffers: it consumes the n-sample envelope pair from src segment by
-// segment (working set O(segment)) and accumulates the pair-Welch
-// products into dst (grown as needed; nil allocates). The source is
-// fully drained — the Welch walk ignores any tail shorter than half a
-// segment, but the source's rng draws must still happen so streaming
-// and buffered pipelines consume identical randomness. Per-segment
-// transforms fan out on the scratch's Pool (workpool.Default when nil);
-// reduction order is fixed, so results do not depend on the pool.
+// EnvelopeProductsStream computes the pair-Welch products of an
+// n-sample envelope pair at the segmentation an n-sample capture gets:
+// it consumes the pair from src segment by segment (working set
+// O(segment)) and accumulates into dst (grown as needed; nil
+// allocates). The products are bit-identical to
+// dsp.WelchScratch.WelchPairInto over the materialized pair. They
+// depend only on the envelopes, the sample rate, and the analyzer's
+// RBW/window — not on group coefficients or the floor — so callers may
+// cache and share them across every measurement rendered from the same
+// envelope realization. The source is fully drained (see drainPair).
+// Per-segment transforms fan out on the scratch's Pool
+// (workpool.Default when nil); reduction order is fixed, so results do
+// not depend on the pool.
 func (a *Analyzer) EnvelopeProductsStream(n int, src PairSource, fs float64, s *Scratch, dst *PairPSD) (*PairPSD, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
@@ -141,11 +145,13 @@ func (a *Analyzer) EnvelopeProductsStream(n int, src PairSource, fs float64, s *
 	return dst, nil
 }
 
-// NoiseProductsStream is NoiseProducts over a source: the n-sample
-// complex stream is consumed segment by segment and its Welch PSD
-// accumulated into dst (grown as needed; nil allocates). The source is
-// fully drained, with the same pool and ordering guarantees as
-// EnvelopeProductsStream.
+// NoiseProductsStream computes the Welch PSD of an n-sample complex
+// stream: src is consumed segment by segment and the PSD accumulated
+// into dst (grown as needed; nil allocates), bit-identical to
+// dsp.WelchScratch.WelchInto over the materialized capture. Like the
+// envelope products, the result is coefficient- and floor-independent
+// and may be cached and shared. The source is fully drained, with the
+// same pool and ordering guarantees as EnvelopeProductsStream.
 func (a *Analyzer) NoiseProductsStream(n int, src SampleSource, fs float64, s *Scratch, dst []float64) ([]float64, error) {
 	sp := mAnalyze.Start()
 	defer sp.End()
@@ -187,49 +193,4 @@ func (a *Analyzer) NoiseProductsStream(n int, src SampleSource, fs float64, s *S
 		return nil, err
 	}
 	return dst, nil
-}
-
-// AnalyzeEnvelopesStream is AnalyzeEnvelopes over sources instead of
-// buffers: the same summed incoherent spectrum of a two-envelope
-// linear family plus one optional extra complex capture, computed
-// segment by segment so the working set is O(segment) instead of O(n).
-// n is the capture length every source will produce.
-//
-// The envelope source is fully consumed (rendered and drained) before
-// the extra source's first Next — matching the buffered pipeline's rng
-// draw order, so a measurement built on one shared rng is bit-identical
-// either way. It is exactly EnvelopeProductsStream +
-// NoiseProductsStream + Render on the scratch-owned product buffers.
-//
-// The returned Trace aliases the scratch's buffers, like
-// AnalyzeEnvelopes. Pass a nil scratch to allocate a private one.
-func (a *Analyzer) AnalyzeEnvelopesStream(n int, envs PairSource, coeffs [][2]complex128, extra SampleSource, fs float64, s *Scratch) (*Trace, error) {
-	if fs <= 0 {
-		return nil, fmt.Errorf("specan: sample rate %g", fs)
-	}
-	if len(coeffs) > 0 && envs == nil {
-		return nil, fmt.Errorf("specan: %d coefficient groups but no envelope source", len(coeffs))
-	}
-	if len(coeffs) == 0 && extra == nil {
-		return nil, ErrNoCaptures
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	var env *PairPSD
-	if len(coeffs) > 0 {
-		var err error
-		if env, err = a.EnvelopeProductsStream(n, envs, fs, s, &s.prod); err != nil {
-			return nil, err
-		}
-	}
-	var noisePSD []float64
-	if extra != nil {
-		var err error
-		if noisePSD, err = a.NoiseProductsStream(n, extra, fs, s, s.noisePSD); err != nil {
-			return nil, err
-		}
-		s.noisePSD = noisePSD
-	}
-	return a.Render(n, coeffs, env, noisePSD, fs, s)
 }
