@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,9 +59,8 @@ func benchMatrix(b *testing.B, id string) (*savat.MatrixStats, paperdata.Experim
 	}
 	cfg := savat.FastConfig()
 	cfg.Distance = exp.Distance
-	opts := savat.DefaultCampaignOptions()
-	opts.Repeats = benchRepeats
-	res, err := savat.RunCampaign(mc, cfg, opts)
+	c := savat.Campaign{Machine: mc, Config: cfg, Repeats: benchRepeats, Seed: 1}
+	res, err := savat.Run(context.Background(), c, savat.CampaignOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -654,13 +654,13 @@ func benchCampaignWithCache(b *testing.B, cache *engine.Cache) {
 	mc := machine.Core2Duo()
 	cfg := savat.FastConfig()
 	cfg.Duration = 1.0 / 32
-	opts := savat.CampaignOptions{
+	c := savat.Campaign{
+		Machine: mc, Config: cfg,
 		Events:  []savat.Event{savat.ADD, savat.LDM, savat.DIV, savat.NOI},
 		Repeats: 2, Seed: 3,
-		Cache: cache,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := savat.RunCampaign(mc, cfg, opts)
+		res, err := savat.Run(context.Background(), c, savat.CampaignOptions{Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

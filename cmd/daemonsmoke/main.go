@@ -8,7 +8,7 @@
 //     cells are restored from the store (cached cells > 0),
 //  3. stream the progress events (NDJSON),
 //  4. fetch the finished matrix and diff it bit-for-bit against a
-//     direct in-process savat.RunSpec of the same spec,
+//     direct in-process savat.Run of the same campaign,
 //  5. SIGKILL the daemon mid-campaign — the job status read just
 //     before the kill must show cells still outstanding — restart it on
 //     the same state directory, and watch the resubmitted campaign
@@ -27,6 +27,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -150,7 +151,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+second.ID+"/result", &served); err != nil {
 		return err
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
+	direct, err := runDirect(spec)
 	if err != nil {
 		return err
 	}
@@ -228,7 +229,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+resumed.ID+"/result", &served2); err != nil {
 		return err
 	}
-	direct2, err := savat.RunSpec(spec2, savat.CampaignOptions{})
+	direct2, err := runDirect(spec2)
 	if err != nil {
 		return err
 	}
@@ -290,7 +291,7 @@ func run() error {
 	if err := getJSON(base+"/v1/campaigns/"+pr.ID+"/result", &served3); err != nil {
 		return err
 	}
-	direct3, err := savat.RunSpec(spec3, savat.CampaignOptions{})
+	direct3, err := runDirect(spec3)
 	if err != nil {
 		return err
 	}
@@ -305,6 +306,16 @@ func run() error {
 
 // startDaemon launches the built savatd on a random port over stateDir
 // and returns the process and its base URL.
+// runDirect measures spec in-process: the oracle every daemon result
+// must match bit for bit.
+func runDirect(spec savat.CampaignSpec) (*savat.MatrixStats, error) {
+	c, err := spec.Campaign()
+	if err != nil {
+		return nil, err
+	}
+	return savat.Run(context.Background(), c, savat.CampaignOptions{})
+}
+
 func startDaemon(bin, stateDir string) (*exec.Cmd, string, error) {
 	daemon := exec.Command(bin,
 		"-addr", "127.0.0.1:0",

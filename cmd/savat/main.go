@@ -85,16 +85,17 @@ func run() error {
 	defer stopObs()
 
 	// The spec — from the -spec file or implied by the setup flags — is
-	// the single campaign description; everything below reads it.
+	// the single campaign description; everything below reads the
+	// Campaign it resolves to.
 	spec, err := cf.CampaignSpec()
 	if err != nil {
 		return err
 	}
-	mc, err := spec.MachineConfig()
+	c, err := spec.Campaign()
 	if err != nil {
 		return err
 	}
-	cfg := spec.Config
+	mc, cfg := c.Machine, c.Config
 
 	switch {
 	case *pair != "" && *dumpKernel:
@@ -123,7 +124,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		vals, sum, err := savat.NewMeasurer(mc, cfg).MeasurePair(a, b, spec.Repeats, spec.Seed)
+		vals, sum, err := savat.NewMeasurer(mc, cfg).MeasurePair(a, b, c.Repeats, c.Seed)
 		if err != nil {
 			return err
 		}
@@ -166,7 +167,7 @@ func run() error {
 			}
 			fmt.Fprintln(os.Stderr)
 		}()
-		res, err := savat.RunSpecContext(ctx, spec, opts)
+		res, err := savat.Run(ctx, c, opts)
 		wg.Wait()
 		if err != nil {
 			if cf.CacheDir != "" && ctx.Err() != nil {
@@ -180,7 +181,7 @@ func run() error {
 			res.Engine.Elapsed.Round(1e7), res.Engine.CellsPerSecond())
 		switch *format {
 		case "table":
-			fmt.Printf("%s at %.2f m — SAVAT in zJ (mean of %d campaigns)\n", res.Machine, res.Distance, spec.Repeats)
+			fmt.Printf("%s at %.2f m — SAVAT in zJ (mean of %d campaigns)\n", res.Machine, res.Distance, c.Repeats)
 			fmt.Print(report.MatrixTable(res.Mean))
 		case "heatmap":
 			fmt.Print(report.Heatmap(res.Mean))
@@ -202,9 +203,9 @@ func run() error {
 		}
 		return nil
 
-	case len(spec.Config.Countermeasures) > 0:
-		// Countermeasure report: the matched campaign pair — the spec as
-		// given and the spec with its chain stripped — scored as per-cell
+	case len(cfg.Countermeasures) > 0:
+		// Countermeasure report: the matched campaign pair — the campaign
+		// as given and with its chain stripped — scored as per-cell
 		// SAVAT attenuation and matrix-level distinguishability loss.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
@@ -215,7 +216,7 @@ func run() error {
 		}
 		defer closeCache()
 		opts.Cache = cache
-		rep, err := savat.RunCountermeasureReport(ctx, spec, opts)
+		rep, err := savat.RunCountermeasureReport(ctx, c, opts)
 		if err != nil {
 			return err
 		}

@@ -146,6 +146,10 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	c, err := spec.Campaign()
+	if err != nil {
+		return nil, err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -158,11 +162,11 @@ func measureLive(cf *cliconf.Flags) (*savat.Matrix, error) {
 		defer wg.Done()
 		for ev := range ch {
 			fmt.Fprintf(os.Stderr, "\rmeasuring %s: %d/%d cells",
-				spec.Machine, ev.Stats.Done, ev.Stats.Total)
+				c.Machine.Name, ev.Stats.Done, ev.Stats.Total)
 		}
 		fmt.Fprintln(os.Stderr)
 	}()
-	res, err := savat.RunSpecContext(ctx, spec, opts)
+	res, err := savat.Run(ctx, c, opts)
 	wg.Wait()
 	if err != nil {
 		return nil, err

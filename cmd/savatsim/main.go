@@ -47,7 +47,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mc, err := cf.MachineConfig()
+	spec, err := cf.CampaignSpec()
+	if err != nil {
+		return err
+	}
+	mc, err := spec.MachineConfig()
 	if err != nil {
 		return err
 	}

@@ -59,18 +59,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec := savat.DefaultCampaignSpec()
-		spec.Config = savat.FastConfig()
-		spec.Config.Channel = c.channel
+		camp := savat.Campaign{Machine: machine.Core2Duo(), Config: savat.FastConfig(),
+			Events: events, Repeats: 2, Seed: 7}
+		camp.Config.Channel = c.channel
 		if c.channel != "em" {
-			spec.Config.Environment = ch.Environment()
+			camp.Config.Environment = ch.Environment()
 		}
-		spec.Config.Countermeasures = c.chain
-		spec.Events = events
-		spec.Repeats = 2
-		spec.Seed = 7
+		camp.Config.Countermeasures = c.chain
 
-		rep, err := savat.RunCountermeasureReport(context.Background(), spec, savat.CampaignOptions{})
+		rep, err := savat.RunCountermeasureReport(context.Background(), camp, savat.CampaignOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,18 +79,15 @@ func main() {
 	// One full report, rendered the way cmd/savat does, for the chain a
 	// defender would actually deploy on the power rail.
 	fmt.Println()
-	spec := savat.DefaultCampaignSpec()
-	spec.Config = savat.FastConfig()
-	spec.Config.Channel = "power"
-	spec.Config.Environment = machine.Channels()["power"].Environment()
-	spec.Config.Countermeasures = counter.Chain{
+	camp := savat.Campaign{Machine: machine.Core2Duo(), Config: savat.FastConfig(),
+		Events: events, Repeats: 2, Seed: 7}
+	camp.Config.Channel = "power"
+	camp.Config.Environment = machine.Channels()["power"].Environment()
+	camp.Config.Countermeasures = counter.Chain{
 		{Name: counter.NoopInsert, Param: 0.10},
 		{Name: counter.SupplyFilter, Param: 20e3},
 	}
-	spec.Events = events
-	spec.Repeats = 2
-	spec.Seed = 7
-	rep, err := savat.RunCountermeasureReport(context.Background(), spec, savat.CampaignOptions{})
+	rep, err := savat.RunCountermeasureReport(context.Background(), camp, savat.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,13 +25,8 @@ import (
 )
 
 func main() {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-
-	opts := savat.DefaultCampaignOptions()
-	opts.Repeats = 2
+	c := savat.Campaign{Machine: machine.Core2Duo(), Config: savat.FastConfig(), Repeats: 2, Seed: 1}
 	ch := make(chan engine.ProgressEvent, 64)
-	opts.Monitor = ch
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -40,7 +36,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}()
-	res, err := savat.RunCampaign(mc, cfg, opts)
+	res, err := savat.Run(context.Background(), c, savat.CampaignOptions{Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		log.Fatal(err)

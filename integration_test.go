@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,20 +38,18 @@ func TestIntegrationQuickstart(t *testing.T) {
 // Campaign results must not depend on scheduling: running the same
 // campaign with different parallelism gives identical matrices.
 func TestIntegrationCampaignSchedulingIndependence(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := savat.FastConfig()
-	opts := savat.CampaignOptions{
+	c := savat.Campaign{
+		Machine: machine.Core2Duo(),
+		Config:  savat.FastConfig(),
 		Events:  []savat.Event{savat.ADD, savat.LDM, savat.DIV},
 		Repeats: 2,
 		Seed:    3,
 	}
-	opts.Parallelism = 1
-	seq, err := savat.RunCampaign(mc, cfg, opts)
+	seq, err := savat.Run(context.Background(), c, savat.CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallelism = 4
-	par, err := savat.RunCampaign(mc, cfg, opts)
+	par, err := savat.Run(context.Background(), c, savat.CampaignOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +72,9 @@ func TestIntegrationFigure9Orderings(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := savat.DefaultConfig()
 	events := []savat.Event{savat.LDM, savat.STL2, savat.LDL2, savat.ADD, savat.DIV}
-	res, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-		Events: events, Repeats: 3, Seed: 1,
-	})
+	res, err := savat.Run(context.Background(),
+		savat.Campaign{Machine: mc, Config: cfg, Events: events, Repeats: 3, Seed: 1},
+		savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,8 @@ func TestIntegrationMeasuredMatrixClusters(t *testing.T) {
 	}
 	mc := machine.Core2Duo()
 	cfg := savat.FastConfig()
-	res, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{Repeats: 1, Seed: 1})
+	res, err := savat.Run(context.Background(),
+		savat.Campaign{Machine: mc, Config: cfg, Repeats: 1, Seed: 1}, savat.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

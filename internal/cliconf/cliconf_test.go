@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/savat"
 )
 
 func parse(t *testing.T, which Set, args ...string) *Flags {
@@ -68,9 +69,15 @@ func TestUnregisteredFlagsNotValidated(t *testing.T) {
 	}
 }
 
+// The machine a -machine flag names resolves through the flags'
+// campaign spec.
 func TestMachineConfig(t *testing.T) {
 	f := parse(t, Machine, "-machine", "TurionX2")
-	mc, err := f.MachineConfig()
+	spec, err := f.CampaignSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := spec.MachineConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +85,19 @@ func TestMachineConfig(t *testing.T) {
 		t.Errorf("machine = %s", mc.Name)
 	}
 	f = parse(t, Machine, "-machine", "nope")
-	if _, err := f.MachineConfig(); !errors.Is(err, ErrUnknownMachine) {
+	if _, err := f.CampaignSpec(); !errors.Is(err, ErrUnknownMachine) {
 		t.Errorf("err = %v, want ErrUnknownMachine", err)
 	}
 }
 
+// The measurement setup the flags imply is the campaign spec's Config.
 func TestMeasureConfig(t *testing.T) {
+	measureConfig := func(f *Flags) (savat.Config, error) {
+		spec, err := f.CampaignSpec()
+		return spec.Config, err
+	}
 	f := parse(t, All, "-fast", "-distance", "0.5", "-freq", "40e3")
-	cfg, err := f.MeasureConfig()
+	cfg, err := measureConfig(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +115,7 @@ func TestMeasureConfig(t *testing.T) {
 	// the field was clobbered.
 	f = parse(t, Fast)
 	f.Distance = 99
-	cfg, err = f.MeasureConfig()
+	cfg, err = measureConfig(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,15 +100,12 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	cfg := savat.FastConfig()
 	cfg.Duration = 1.0 / 32
 	events := []savat.Event{savat.LDM, savat.STM, savat.NOI, savat.ADD}
+	c := savat.Campaign{Machine: mc, Config: cfg, Events: events, Repeats: 3, Seed: 9}
 	opts := func(cache *engine.Cache) savat.CampaignOptions {
-		return savat.CampaignOptions{
-			Events: events, Repeats: 3, Seed: 9,
-			Parallelism: 4,
-			Cache:       cache,
-		}
+		return savat.CampaignOptions{Parallelism: 4, Cache: cache}
 	}
 
-	clean, err := savat.RunCampaign(mc, cfg, opts(nil))
+	clean, err := savat.Run(context.Background(), c, opts(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +133,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	}()
 	o := opts(cache)
 	o.Monitor = monitor
-	_, err = savat.RunCampaignContext(ctx, mc, cfg, o)
+	_, err = savat.Run(ctx, c, o)
 	seen := <-done
 	cancel()
 	if err == nil {
@@ -156,7 +153,7 @@ func TestCampaignCancelResumeStoreBacked(t *testing.T) {
 	}
 	resumed := engine.NewCache(engine.DefaultCacheCapacity, st)
 	defer resumed.Close()
-	res, err := savat.RunCampaign(mc, cfg, opts(resumed))
+	res, err := savat.Run(context.Background(), c, opts(resumed))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

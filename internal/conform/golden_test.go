@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"flag"
 	"math/rand"
 	"os"
@@ -29,9 +30,10 @@ func goldenEvents() []savat.Event {
 }
 
 var goldenMeasured = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return savat.RunCampaign(machine.Core2Duo(), savat.FastConfig(), savat.CampaignOptions{
+	return savat.Run(context.Background(), savat.Campaign{
+		Machine: machine.Core2Duo(), Config: savat.FastConfig(),
 		Events: goldenEvents(), Repeats: 1, Seed: goldenSeed,
-	})
+	}, savat.CampaignOptions{})
 })
 
 func goldenPath(name string) string {

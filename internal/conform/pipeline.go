@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -154,9 +155,9 @@ func VerifyPermutationInvariance(mc machine.Config, cfg savat.Config, events []s
 		perm[(i+1)%len(events)] = e
 	}
 	run := func(evs []savat.Event) (*savat.MatrixStats, error) {
-		return savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-			Events: evs, Repeats: repeats, Seed: seed,
-		})
+		return savat.Run(context.Background(),
+			savat.Campaign{Machine: mc, Config: cfg, Events: evs, Repeats: repeats, Seed: seed},
+			savat.CampaignOptions{})
 	}
 	base, err := run(events)
 	if err != nil {

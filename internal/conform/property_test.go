@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 const propertySeed = 1
 
 var fastMatrix = sync.OnceValues(func() (*savat.MatrixStats, error) {
-	return savat.RunCampaign(machine.Core2Duo(), savat.FastConfig(), savat.CampaignOptions{
+	return savat.Run(context.Background(), savat.Campaign{
+		Machine: machine.Core2Duo(), Config: savat.FastConfig(),
 		Events: savat.Events(), Repeats: 1, Seed: propertySeed,
-	})
+	}, savat.CampaignOptions{})
 })
 
 var referenceMatrix = sync.OnceValues(func() (*savat.Matrix, error) {
@@ -139,9 +141,10 @@ func TestChannelMatrices(t *testing.T) {
 		if name != "em" {
 			cfg.Environment = ch.Environment()
 		}
-		st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
+		st, err := savat.Run(context.Background(), savat.Campaign{
+			Machine: machine.Core2Duo(), Config: cfg,
 			Events: events, Repeats: 1, Seed: propertySeed,
-		})
+		}, savat.CampaignOptions{})
 		if err != nil {
 			t.Fatalf("channel %s: %v", name, err)
 		}
@@ -172,9 +175,10 @@ func TestDistanceFlatConducted(t *testing.T) {
 			cfg.Channel = name
 			cfg.Environment = ch.Environment()
 			cfg.Distance = d
-			st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
+			st, err := savat.Run(context.Background(), savat.Campaign{
+				Machine: machine.Core2Duo(), Config: cfg,
 				Events: events, Repeats: 1, Seed: propertySeed,
-			})
+			}, savat.CampaignOptions{})
 			if err != nil {
 				t.Fatalf("channel %s at %g m: %v", name, d, err)
 			}
@@ -198,9 +202,10 @@ func TestDistanceDecayMeasured(t *testing.T) {
 	for _, d := range distances {
 		cfg := savat.FastConfig()
 		cfg.Distance = d
-		st, err := savat.RunCampaign(machine.Core2Duo(), cfg, savat.CampaignOptions{
+		st, err := savat.Run(context.Background(), savat.Campaign{
+			Machine: machine.Core2Duo(), Config: cfg,
 			Events: events, Repeats: 1, Seed: propertySeed,
-		})
+		}, savat.CampaignOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/machine"
@@ -23,18 +24,15 @@ func TestStreamingParallelCampaign(t *testing.T) {
 	cfg.Analyzer.RBW = 50 // several Welch segments per capture
 	events := []savat.Event{savat.ADD, savat.LDM, savat.DIV}
 
-	parallel, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-		Events: events, Repeats: 2, Seed: 5,
+	c := savat.Campaign{Machine: mc, Config: cfg, Events: events, Repeats: 2, Seed: 5}
+	parallel, err := savat.Run(context.Background(), c, savat.CampaignOptions{
 		Parallelism:  3,
 		AnalyzerPool: workpool.New(3),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := savat.RunCampaign(mc, cfg, savat.CampaignOptions{
-		Events: events, Repeats: 2, Seed: 5,
-		Parallelism: 1,
-	})
+	sequential, err := savat.Run(context.Background(), c, savat.CampaignOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,8 @@ type Options struct {
 	// still collapses identical cells across time).
 	Flight *Flight
 	// Monitor, when non-nil, receives one ProgressEvent per finished
-	// cell. Run closes it when the campaign ends, so an Engine with a
+	// cell, in completion order (Stats.Done rises by one per event). Run
+	// closes it when the campaign ends, so an Engine with a
 	// Monitor serves exactly one Run; drain the channel until it closes —
 	// sends block.
 	Monitor chan<- ProgressEvent
@@ -391,9 +392,16 @@ func (r *run) compute(ctx context.Context, state any, row, col, rep int) (float6
 	}
 }
 
-// record stores a finished cell and emits its progress event.
+// record stores a finished cell and emits its progress event. The send
+// happens under r.mu, the lock that assigns Done, so events reach the
+// Monitor in completion order: Stats.Done rises by exactly one per
+// event, and the last event received carries the final Stats. Holding
+// r.mu across the send cannot deadlock: r.mu is private to this run, so
+// the consumer never needs it, and the Monitor contract already obliges
+// the consumer to drain the channel.
 func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.values[row][col][rep] = v
 	r.st.Done++
 	switch {
@@ -407,8 +415,6 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	r.mu.Unlock()
-
 	if r.eng.opts.Monitor != nil {
 		r.eng.opts.Monitor <- ev
 	}

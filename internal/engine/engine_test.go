@@ -387,3 +387,36 @@ func TestEngineCumulativeStats(t *testing.T) {
 		t.Errorf("cumulative stats = %+v", st)
 	}
 }
+
+// Progress events arrive in completion order: Stats.Done rises by
+// exactly one from each event to the next, so a consumer that keeps the
+// last event's Stats (the campaign service, cmd/savat's interrupt line)
+// always holds the newest snapshot. Many workers finishing trivial cells
+// race to record, which is where a send outside the accounting lock
+// reorders events.
+func TestMonitorEventsInCompletionOrder(t *testing.T) {
+	const runs, rows, cols, reps = 20, 20, 20, 5
+	for run := 0; run < runs; run++ {
+		ch := make(chan ProgressEvent, 64)
+		bad := make(chan string, 1)
+		go func() {
+			prev := 0
+			for ev := range ch {
+				if ev.Stats.Done != prev+1 {
+					select {
+					case bad <- fmt.Sprintf("event Done=%d after Done=%d", ev.Stats.Done, prev):
+					default:
+					}
+				}
+				prev = ev.Stats.Done
+			}
+			close(bad)
+		}()
+		if _, err := New(Options{Parallelism: 4, Monitor: ch}).Run(context.Background(), testSpec(rows, cols, reps)); err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok := <-bad; ok {
+			t.Fatalf("run %d: %s", run, msg)
+		}
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/counter"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/store"
@@ -30,15 +32,15 @@ func matricesEqual(t *testing.T, a, b *MatrixStats) {
 // the same MatrixStats as an uninterrupted run with the same seed, and
 // every cell the killed run finished is a store hit on resume.
 func TestRunCampaignContextCancelAndResume(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := FastConfig()
-	opts := CampaignOptions{
+	c := Campaign{
+		Machine: machine.Core2Duo(),
+		Config:  FastConfig(),
 		Events:  []Event{ADD, LDM},
 		Repeats: 2,
 		Seed:    7,
 	}
 
-	ref, err := RunCampaign(mc, cfg, opts)
+	ref, err := Run(context.Background(), c, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +60,12 @@ func TestRunCampaignContextCancelAndResume(t *testing.T) {
 			cancel()
 		}
 	}()
-	killed := opts
-	killed.Parallelism = 1
-	killed.Monitor = ch
-	killed.Cache = engine.NewCache(64, openStore(t, dir))
-	_, err = RunCampaignContext(ctx, mc, cfg, killed)
+	killed := CampaignOptions{
+		Parallelism: 1,
+		Monitor:     ch,
+		Cache:       engine.NewCache(64, openStore(t, dir)),
+	}
+	_, err = Run(ctx, c, killed)
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -76,10 +79,9 @@ func TestRunCampaignContextCancelAndResume(t *testing.T) {
 
 	// Resume with a fresh cache over the reopened store: only the store
 	// carries state.
-	resumed := opts
-	resumed.Cache = engine.NewCache(64, openStore(t, dir))
+	resumed := CampaignOptions{Cache: engine.NewCache(64, openStore(t, dir))}
 	defer resumed.Cache.Close()
-	res, err := RunCampaignContext(context.Background(), mc, cfg, resumed)
+	res, err := Run(context.Background(), c, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +108,9 @@ func openStore(t *testing.T, dir string) *store.Store {
 func TestRunCampaignCellIdentityCache(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
-	cache := engine.NewCache(64, nil)
-	opts := CampaignOptions{Events: []Event{ADD, LDM}, Repeats: 2, Seed: 3, Cache: cache}
-	first, err := RunCampaign(mc, cfg, opts)
+	c := Campaign{Machine: mc, Config: cfg, Events: []Event{ADD, LDM}, Repeats: 2, Seed: 3}
+	rt := CampaignOptions{Cache: engine.NewCache(64, nil)}
+	first, err := Run(context.Background(), c, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +118,8 @@ func TestRunCampaignCellIdentityCache(t *testing.T) {
 		t.Fatalf("first run engine stats = %+v", first.Engine)
 	}
 
-	opts.Events = []Event{LDM, ADD} // same pairs, different matrix positions
-	second, err := RunCampaign(mc, cfg, opts)
+	c.Events = []Event{LDM, ADD} // same pairs, different matrix positions
+	second, err := Run(context.Background(), c, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +146,6 @@ func TestRunCampaignCellIdentityCache(t *testing.T) {
 // exactly, and the running Stats on the final event account for every
 // cell.
 func TestRunCampaignMonitorPairCompletion(t *testing.T) {
-	mc := machine.Core2Duo()
-	cfg := FastConfig()
 	const repeats = 2
 	ch := make(chan engine.ProgressEvent, 16)
 	events := 0
@@ -166,13 +166,14 @@ func TestRunCampaignMonitorPairCompletion(t *testing.T) {
 			}
 		}
 	}()
-	opts := CampaignOptions{
+	c := Campaign{
+		Machine: machine.Core2Duo(),
+		Config:  FastConfig(),
 		Events:  []Event{ADD, LDM},
 		Repeats: repeats,
 		Seed:    1,
-		Monitor: ch,
 	}
-	if _, err := RunCampaign(mc, cfg, opts); err != nil {
+	if _, err := Run(context.Background(), c, CampaignOptions{Monitor: ch}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -199,9 +200,73 @@ func TestRunCampaignContextClosesMonitorOnValidationError(t *testing.T) {
 		}
 		close(done)
 	}()
-	_, err := RunCampaign(machine.Config{}, FastConfig(), CampaignOptions{Repeats: 1, Monitor: ch})
+	_, err := Run(context.Background(), Campaign{Config: FastConfig(), Repeats: 1}, CampaignOptions{Monitor: ch})
 	if err == nil {
 		t.Fatal("bad machine should fail")
 	}
 	<-done // hangs here if the channel was leaked open
+}
+
+// An out-of-range event is rejected by Campaign.Validate before the
+// engine starts: no cell is scheduled (so none is retried as a
+// transient failure), and the Monitor closes without a single event.
+func TestRunRejectsInvalidEventBeforeEngine(t *testing.T) {
+	ch := make(chan engine.ProgressEvent, 16)
+	events := 0
+	done := make(chan struct{})
+	go func() {
+		for range ch {
+			events++
+		}
+		close(done)
+	}()
+	c := Campaign{Machine: machine.Core2Duo(), Config: FastConfig(), Events: []Event{ADD, Event(200)}, Repeats: 1, Seed: 1}
+	if _, err := Run(context.Background(), c, CampaignOptions{Monitor: ch}); err == nil {
+		t.Fatal("invalid event should fail")
+	}
+	<-done
+	if events != 0 {
+		t.Errorf("Monitor saw %d events for a campaign rejected up front, want 0", events)
+	}
+}
+
+// RunCountermeasureReport forwards no per-cell events but, like Run,
+// closes a caller-supplied Monitor when it returns — on the error path
+// and after a successful report alike — so a caller ranging over it
+// never blocks.
+func TestRunCountermeasureReportClosesMonitor(t *testing.T) {
+	c := Campaign{Machine: machine.Core2Duo(), Config: FastConfig(), Events: []Event{ADD, LDM}, Repeats: 1, Seed: 1}
+	c.Config.Duration = 1.0 / 16
+	chained := c
+	chained.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 0.1}}
+	for _, tc := range []struct {
+		name    string
+		c       Campaign
+		wantErr bool
+	}{
+		{"chain-less", c, true},
+		{"report", chained, false},
+	} {
+		ch := make(chan engine.ProgressEvent)
+		events := 0
+		done := make(chan struct{})
+		go func() {
+			for range ch {
+				events++
+			}
+			close(done)
+		}()
+		_, err := RunCountermeasureReport(context.Background(), tc.c, CampaignOptions{Monitor: ch})
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Monitor still open after the report returned", tc.name)
+		}
+		if events != 0 {
+			t.Errorf("%s: Monitor saw %d events, want 0", tc.name, events)
+		}
+	}
 }

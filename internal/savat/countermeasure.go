@@ -30,14 +30,15 @@ func applyProgramCountermeasures(k *Kernel, chain counter.Chain, seed int64) (*K
 }
 
 // CountermeasureReport scores a countermeasure chain by running the
-// matched campaign pair — the spec as given (protected) and the spec
-// with its chain stripped (baseline) — and comparing the two SAVAT
-// matrices. It answers the question a countermeasure designer brings to
-// the paper's methodology: how much signal does the attacker lose, and
-// how much harder do instruction pairs become to tell apart?
+// matched campaign pair — the campaign as given (protected) and the
+// campaign with its chain stripped (baseline) — and comparing the two
+// SAVAT matrices. It answers the question a countermeasure designer
+// brings to the paper's methodology: how much signal does the attacker
+// lose, and how much harder do instruction pairs become to tell apart?
 type CountermeasureReport struct {
-	// Spec is the protected campaign (non-empty countermeasure chain).
-	Spec CampaignSpec
+	// Campaign is the protected campaign (non-empty countermeasure
+	// chain), with its configuration normalized.
+	Campaign Campaign
 	// Events is the grid, in matrix order.
 	Events []Event
 	// Baseline and Protected are the two measured campaigns.
@@ -60,39 +61,43 @@ type CountermeasureReport struct {
 	DistinguishabilityLossDB   float64
 }
 
-// RunCountermeasureReport measures the matched campaign pair for spec
+// RunCountermeasureReport measures the matched campaign pair for c
 // (which must carry a non-empty countermeasure chain) and scores the
-// chain. rt supplies the runtime-only options; its Monitor is ignored —
-// the report runs two campaigns, and the per-cell monitor contract
-// binds to exactly one. Cache and Flight are shared by both runs; their
-// cell keys differ in the countermeasure dimension, so the runs never
-// collide.
-func RunCountermeasureReport(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*CountermeasureReport, error) {
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
+// chain. rt supplies the runtime resources. The report forwards no
+// per-cell events — it runs two campaigns, and the per-cell monitor
+// contract binds to exactly one — but it honors the Monitor contract:
+// rt.Monitor, when non-nil, is closed when the report returns. Cache
+// and Flight are shared by both runs; their cell keys differ in the
+// countermeasure dimension, so the runs never collide.
+func RunCountermeasureReport(ctx context.Context, c Campaign, rt CampaignOptions) (*CountermeasureReport, error) {
+	if rt.Monitor != nil {
+		defer close(rt.Monitor)
+		rt.Monitor = nil
+	}
+	c.Config = c.Config.Normalized()
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(spec.Config.Countermeasures) == 0 {
+	if len(c.Config.Countermeasures) == 0 {
 		return nil, fmt.Errorf("%w: report needs a non-empty countermeasure chain", ErrBadCountermeasure)
 	}
-	rt.Monitor = nil
 
-	base := spec
+	base := c
 	base.Config.Countermeasures = nil
 
-	baseline, err := RunSpecContext(ctx, base, rt)
+	baseline, err := Run(ctx, base, rt)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure baseline: %w", err)
 	}
-	protected, err := RunSpecContext(ctx, spec, rt)
+	protected, err := Run(ctx, c, rt)
 	if err != nil {
 		return nil, fmt.Errorf("savat: countermeasure protected: %w", err)
 	}
 
-	events := spec.GridEvents()
+	events := append([]Event(nil), c.grid()...)
 	n := len(events)
 	r := &CountermeasureReport{
-		Spec: spec, Events: events,
+		Campaign: c, Events: events,
 		Baseline: baseline, Protected: protected,
 		AttenuationDB: make([][]float64, n),
 	}
@@ -159,7 +164,7 @@ func distinguishabilityDB(vals [][]float64) float64 {
 // matrix-level scores, and the per-cell attenuation table in dB.
 func (r *CountermeasureReport) WriteTable(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "countermeasures: %s  (machine %s, channel %s)\n",
-		r.Spec.Config.Countermeasures, r.Spec.Machine, r.Spec.Config.Channel); err != nil {
+		r.Campaign.Config.Countermeasures, r.Campaign.Machine.Name, r.Campaign.Config.Channel); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "mean off-diagonal SAVAT attenuation: %+.2f dB\n", r.MeanAttenuationDB)

@@ -13,20 +13,22 @@ import (
 	"repro/internal/machine"
 )
 
-func reportSpec() CampaignSpec {
-	spec := DefaultCampaignSpec()
-	spec.Config = FastConfig()
-	spec.Config.Duration = 1.0 / 8
-	spec.Events = []Event{LDM, NOI, ADD}
-	spec.Repeats = 2
-	spec.Seed = 13
-	spec.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 0.1}}
-	return spec
+func reportCampaign() Campaign {
+	c := Campaign{
+		Machine: machine.Core2Duo(),
+		Config:  FastConfig(),
+		Events:  []Event{LDM, NOI, ADD},
+		Repeats: 2,
+		Seed:    13,
+	}
+	c.Config.Duration = 1.0 / 8
+	c.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 0.1}}
+	return c
 }
 
 func TestRunCountermeasureReport(t *testing.T) {
-	spec := reportSpec()
-	rep, err := RunCountermeasureReport(context.Background(), spec, CampaignOptions{})
+	c := reportCampaign()
+	rep, err := RunCountermeasureReport(context.Background(), c, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +46,19 @@ func TestRunCountermeasureReport(t *testing.T) {
 		t.Fatalf("attenuation grid %dx%d for %d events", len(rep.AttenuationDB), len(rep.AttenuationDB[0]), n)
 	}
 
-	// The baseline leg must be bit-identical to running the stripped spec
-	// directly: the report changes nothing about how campaigns measure.
-	base := spec
+	// The baseline leg must be bit-identical to running the stripped
+	// campaign directly: the report changes nothing about how campaigns
+	// measure.
+	base := c
 	base.Config.Countermeasures = nil
-	direct, err := RunSpec(base, CampaignOptions{})
+	direct, err := Run(context.Background(), base, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(rep.Baseline.Cells)
 	b, _ := json.Marshal(direct.Cells)
 	if string(a) != string(b) {
-		t.Error("report baseline diverges from a direct run of the stripped spec")
+		t.Error("report baseline diverges from a direct run of the stripped campaign")
 	}
 
 	// Rendering must not fail and must name the chain.
@@ -67,7 +70,7 @@ func TestRunCountermeasureReport(t *testing.T) {
 		t.Errorf("table does not name the chain:\n%s", buf.String())
 	}
 
-	// A chain-less spec has no matched pair to compare.
+	// A chain-less campaign has no matched pair to compare.
 	if _, err := RunCountermeasureReport(context.Background(), base, CampaignOptions{}); !errors.Is(err, ErrBadCountermeasure) {
 		t.Errorf("chain-less report: got %v, want ErrBadCountermeasure", err)
 	}

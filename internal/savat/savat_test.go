@@ -1,6 +1,8 @@
 package savat
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -383,14 +385,15 @@ func TestSingleInstructionSAVAT(t *testing.T) {
 // A small campaign: deterministic, self-consistent statistics, sane
 // repeatability.
 func TestRunCampaignSmall(t *testing.T) {
-	mc := machine.Core2Duo()
 	cfg := FastConfig()
-	opts := CampaignOptions{
+	c := Campaign{
+		Machine: machine.Core2Duo(),
+		Config:  cfg,
 		Events:  []Event{ADD, LDM},
 		Repeats: 3,
 		Seed:    5,
 	}
-	res, err := RunCampaign(mc, cfg, opts)
+	res, err := Run(context.Background(), c, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +424,7 @@ func TestRunCampaignSmall(t *testing.T) {
 	}
 
 	// Determinism.
-	res2, err := RunCampaign(mc, cfg, opts)
+	res2, err := Run(context.Background(), c, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,16 +438,24 @@ func TestRunCampaignSmall(t *testing.T) {
 }
 
 func TestRunCampaignErrors(t *testing.T) {
-	mc := machine.Core2Duo()
-	if _, err := RunCampaign(mc, FastConfig(), CampaignOptions{Repeats: 0}); err == nil {
-		t.Error("zero repeats should fail")
+	ok := Campaign{Machine: machine.Core2Duo(), Config: FastConfig(), Repeats: 10, Seed: 1}
+	run := func(c Campaign) error {
+		_, err := Run(context.Background(), c, CampaignOptions{})
+		return err
 	}
-	if _, err := RunCampaign(machine.Config{}, FastConfig(), DefaultCampaignOptions()); err == nil {
+	zero := ok
+	zero.Repeats = 0
+	if err := run(zero); !errors.Is(err, ErrBadRepeats) {
+		t.Errorf("zero repeats: got %v, want ErrBadRepeats", err)
+	}
+	noMachine := ok
+	noMachine.Machine = machine.Config{}
+	if err := run(noMachine); err == nil {
 		t.Error("bad machine should fail")
 	}
-	bad := FastConfig()
-	bad.Duration = 0
-	if _, err := RunCampaign(mc, bad, DefaultCampaignOptions()); err == nil {
+	bad := ok
+	bad.Config.Duration = 0
+	if err := run(bad); err == nil {
 		t.Error("bad config should fail")
 	}
 }
@@ -479,9 +490,26 @@ func TestSwapAsymmetry(t *testing.T) {
 	}
 }
 
-func TestDefaultCampaignOptions(t *testing.T) {
-	o := DefaultCampaignOptions()
-	if len(o.Events) != 11 || o.Repeats != 10 {
-		t.Errorf("defaults: %+v", o)
+// The default spec resolves to the paper's campaign — the Core 2 Duo,
+// all 11 Figure 5 events, 10 repetitions, seed 1 — with the legacy
+// empty channel normalized to "em", and fingerprinting the spec is
+// fingerprinting that campaign.
+func TestDefaultCampaignSpecResolves(t *testing.T) {
+	spec := DefaultCampaignSpec()
+	spec.Config.Channel = ""
+	c, err := spec.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Machine.Name != "Core2Duo" || len(c.Events) != 11 || c.Repeats != 10 || c.Seed != 1 || c.Config.Channel != "em" {
+		t.Errorf("defaults: %s, %d events, %d repeats, seed %d, channel %q",
+			c.Machine.Name, len(c.Events), c.Repeats, c.Seed, c.Config.Channel)
+	}
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != c.fingerprint() {
+		t.Error("spec and resolved campaign fingerprint differently")
 	}
 }

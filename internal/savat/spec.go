@@ -35,7 +35,8 @@ const SpecVersion = 2
 // A spec holds everything that determines the campaign's cell values —
 // machine, measurement configuration, event grid, repeats, seed — and
 // nothing about how the campaign is executed (parallelism, caches,
-// monitors stay in CampaignOptions). Two specs with
+// monitors stay in CampaignOptions). CampaignSpec.Campaign resolves it
+// into the Campaign that Run measures. Two specs with
 // equal fingerprints therefore produce bit-identical matrices on any
 // executor, which is what lets the service deduplicate overlapping
 // submissions cell-by-cell.
@@ -85,23 +86,27 @@ func (s CampaignSpec) Normalized() CampaignSpec {
 
 // Validate reports the first problem with the spec as a wrapped
 // sentinel error: version (ErrSpecVersion), machine (ErrUnknownMachine),
-// events, then the shared Validate path over the measurement
-// configuration and campaign options — so a spec rejected here would
-// have been rejected identically by RunCampaignContext, and vice versa.
+// then Campaign.Validate over the resolved campaign — so a spec rejected
+// here would have been rejected identically by Run, and vice versa.
 func (s CampaignSpec) Validate() error {
+	_, err := s.Campaign()
+	return err
+}
+
+// Campaign resolves the spec at the wire boundary: the machine name
+// becomes its configuration, nil events become the paper's 11, and the
+// result is validated.
+func (s CampaignSpec) Campaign() (Campaign, error) {
 	s = s.Normalized()
 	if s.Version != SpecVersion {
-		return fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
+		return Campaign{}, fmt.Errorf("%w: %d (want %d)", ErrSpecVersion, s.Version, SpecVersion)
 	}
-	if _, err := s.MachineConfig(); err != nil {
-		return err
+	mc, err := s.MachineConfig()
+	if err != nil {
+		return Campaign{}, err
 	}
-	for _, e := range s.Events {
-		if !e.Valid() {
-			return fmt.Errorf("savat: spec event %d invalid", uint8(e))
-		}
-	}
-	return Validate(s.Config, CampaignOptions{Events: s.Events, Repeats: s.Repeats, Seed: s.Seed})
+	c := Campaign{Machine: mc, Config: s.Config, Events: s.GridEvents(), Repeats: s.Repeats, Seed: s.Seed}
+	return c, c.Validate()
 }
 
 // MachineConfig resolves the spec's machine name.
@@ -121,26 +126,16 @@ func (s CampaignSpec) GridEvents() []Event {
 	return append([]Event(nil), s.Events...)
 }
 
-// Options merges the spec into rt: the spec supplies everything that
-// determines cell values (events, repeats, seed) and rt supplies the
-// runtime-only knobs (parallelism, cache, monitor, retry policy). Values already present in rt's identity fields are
-// overwritten — the spec is the single source of truth.
-func (s CampaignSpec) Options(rt CampaignOptions) CampaignOptions {
-	rt.Events = s.GridEvents()
-	rt.Repeats = s.Repeats
-	rt.Seed = s.Seed
-	return rt
-}
-
 // Fingerprint canonically identifies the campaign the spec describes;
 // service jobs carry it as their wire identity. Two specs fingerprint
-// equal exactly when they produce bit-identical matrices.
+// equal exactly when they produce bit-identical matrices; an invalid
+// spec describes no campaign and has no fingerprint.
 func (s CampaignSpec) Fingerprint() (string, error) {
-	mc, err := s.MachineConfig()
+	c, err := s.Campaign()
 	if err != nil {
 		return "", err
 	}
-	return campaignFingerprint(mc, s.Config, s.GridEvents(), s.Seed, s.Repeats), nil
+	return c.fingerprint(), nil
 }
 
 // MarshalIndent serializes the normalized spec as indented JSON with a
@@ -183,29 +178,16 @@ func LoadCampaignSpec(path string) (CampaignSpec, error) {
 	return s, nil
 }
 
-// RunSpec is RunSpecContext with a background context.
+// RunSpec resolves spec and runs it with a background context.
+//
+// Deprecated: resolve the spec with CampaignSpec.Campaign and call Run.
 func RunSpec(spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
-	return RunSpecContext(context.Background(), spec, rt)
-}
-
-// RunSpecContext measures the campaign a spec describes on the engine,
-// with rt supplying the runtime-only options (see CampaignSpec.Options).
-// It is the spec-shaped face of RunCampaignContext: for equal specs the
-// two produce bit-identical matrices regardless of executor or cache
-// state.
-func RunSpecContext(ctx context.Context, spec CampaignSpec, rt CampaignOptions) (*MatrixStats, error) {
-	if err := spec.Validate(); err != nil {
-		if rt.Monitor != nil {
-			close(rt.Monitor)
-		}
-		return nil, err
-	}
-	mc, err := spec.MachineConfig()
+	c, err := spec.Campaign()
 	if err != nil {
 		if rt.Monitor != nil {
 			close(rt.Monitor)
 		}
 		return nil, err
 	}
-	return RunCampaignContext(ctx, mc, spec.Config, spec.Options(rt))
+	return Run(context.Background(), c, rt)
 }

@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/engine"
+	"repro/internal/machine"
 )
 
 func TestCampaignSpecRoundTrip(t *testing.T) {
@@ -254,10 +256,10 @@ func TestSpecVersionGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// RunSpecContext and RunCampaignContext must produce bit-identical
-// matrices for the same campaign, and a spec-validation failure must
+// The deprecated RunSpec shim must produce a matrix bit-identical to
+// Run over the resolved campaign, and a spec-resolution failure must
 // still close the caller's monitor channel.
-func TestRunSpecMatchesRunCampaign(t *testing.T) {
+func TestRunSpecShimMatchesRun(t *testing.T) {
 	spec := DefaultCampaignSpec()
 	spec.Config = FastConfig()
 	spec.Config.Duration = 1.0 / 16
@@ -269,20 +271,18 @@ func TestRunSpecMatchesRunCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := spec.MachineConfig()
+	c, err := spec.Campaign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunCampaign(mc, spec.Config, CampaignOptions{
-		Events: spec.Events, Repeats: spec.Repeats, Seed: spec.Seed,
-	})
+	want, err := Run(context.Background(), c, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(got.Cells)
 	b, _ := json.Marshal(want.Cells)
 	if string(a) != string(b) {
-		t.Errorf("RunSpec and RunCampaign disagree:\n%s\nvs\n%s", a, b)
+		t.Errorf("RunSpec and Run disagree:\n%s\nvs\n%s", a, b)
 	}
 
 	// A validation failure must still close the monitor channel.
@@ -294,5 +294,40 @@ func TestRunSpecMatchesRunCampaign(t *testing.T) {
 	}
 	if _, open := <-mon; open {
 		t.Error("monitor should be closed on validation failure")
+	}
+}
+
+// TestKeyLiterals pins the campaign fingerprint and cell-key hashes as
+// literals recorded before Campaign replaced the four campaign entry
+// points. The other fingerprint tests only compare fingerprints with
+// each other; these literals are what existing segment stores and
+// service job identities were written under, so a change here means a
+// store stops serving its cells.
+func TestKeyLiterals(t *testing.T) {
+	fp := func(s CampaignSpec) string {
+		t.Helper()
+		f, err := s.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	power := DefaultCampaignSpec()
+	power.Config = FastConfig()
+	power.Config.Channel = "power"
+	power.Config.Countermeasures = counter.Chain{{Name: counter.NoopInsert, Param: 0.1}}
+	cell := Campaign{Machine: machine.Core2Duo(), Config: DefaultConfig(), Seed: 1}
+
+	for _, c := range []struct{ name, got, want string }{
+		{"default spec fingerprint", fp(DefaultCampaignSpec()),
+			"07c1317241ce1a33e229d1006b41f601557b85eea025aa372e203f126fbfe789"},
+		{"fast power noop-insert:0.1 fingerprint", fp(power),
+			"ef554d8dac0ad881f2b5c94c7aa2847cafa727fd3a0b53e0d9a1b2c470fdd0a2"},
+		{"Core2Duo default ADD/LDM seed 1 rep 0 cell key", engine.Key(cell.cellKey(ADD, LDM, 0)),
+			"c46ed8e7bd1e81743d2175205f704059f17a414917fe4b44c48a939e2bbb7cc4"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %s, want %s", c.name, c.got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package savat
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/machine"
@@ -101,10 +102,8 @@ func TestCampaignSynthCacheHitRate(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := FastConfig()
 	cfg.Duration = 1.0 / 16
-	_, err := RunCampaign(mc, cfg, CampaignOptions{
-		Events: Events(), Repeats: 1, Seed: 3,
-		Parallelism: 1, // deterministic access order: exactly one env miss per row
-	})
+	_, err := Run(context.Background(), Campaign{Machine: mc, Config: cfg, Events: Events(), Repeats: 1, Seed: 3},
+		CampaignOptions{Parallelism: 1}) // deterministic access order: exactly one env miss per row
 	if err != nil {
 		t.Fatal(err)
 	}

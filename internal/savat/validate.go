@@ -1,14 +1,11 @@
 package savat
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Sentinel validation errors, shared by Config.Validate,
-// CampaignOptions.Validate, and the CLI flag layer (internal/cliconf
-// aliases them), so every surface rejects a bad setup with the same
-// identity. Test with errors.Is.
+// Campaign.Validate, CampaignSpec.Validate, and the CLI flag layer
+// (internal/cliconf aliases them), so every surface rejects a bad setup
+// with the same identity. Test with errors.Is.
 var (
 	// ErrBadDistance reports a non-positive antenna distance.
 	ErrBadDistance = errors.New("savat: distance must be positive")
@@ -28,24 +25,3 @@ var (
 	// ErrBadCountermeasure reports an invalid countermeasure chain entry.
 	ErrBadCountermeasure = errors.New("savat: bad countermeasure")
 )
-
-// Validate checks a measurement configuration and campaign options
-// together — the single validation entry point shared by the campaign
-// runner and every CLI command. The configuration is checked first
-// (field order: distance, frequency, band, Nyquist, duration, periods,
-// environment, analyzer), then the options, and the first problem wins.
-func Validate(cfg Config, opts CampaignOptions) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	return opts.Validate()
-}
-
-// Validate reports the first problem with the campaign options as a
-// wrapped sentinel error.
-func (o CampaignOptions) Validate() error {
-	if o.Repeats <= 0 {
-		return fmt.Errorf("%w: %d", ErrBadRepeats, o.Repeats)
-	}
-	return nil
-}

@@ -112,10 +112,7 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, spec)
 	a, _ := json.Marshal(res.Cells)
 	b, _ := json.Marshal(direct.Cells)
 	if string(a) != string(b) {

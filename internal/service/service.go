@@ -109,6 +109,7 @@ type job struct {
 	priority int
 	seq      int // submission order, the scheduler's FIFO tie-break
 	spec     savat.CampaignSpec
+	campaign savat.Campaign // spec resolved at submission
 	fp       string
 	state    State
 	created  time.Time
@@ -184,7 +185,8 @@ type SubmitOptions struct {
 // overlap cost one campaign's compute.
 func (s *Server) Submit(spec savat.CampaignSpec, opts SubmitOptions) (Job, error) {
 	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
+	c, err := spec.Campaign()
+	if err != nil {
 		return Job{}, err
 	}
 	fp, err := spec.Fingerprint()
@@ -204,6 +206,7 @@ func (s *Server) Submit(spec savat.CampaignSpec, opts SubmitOptions) (Job, error
 		priority: opts.Priority,
 		seq:      s.nextSeq,
 		spec:     spec,
+		campaign: c,
 		fp:       fp,
 		state:    StateQueued,
 		created:  time.Now(),

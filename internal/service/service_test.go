@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -19,6 +20,21 @@ func smokeSpec() savat.CampaignSpec {
 	spec.Repeats = 2
 	spec.Seed = 3
 	return spec
+}
+
+// runDirect measures spec in-process, outside any service: the oracle a
+// served result must match bit for bit.
+func runDirect(t *testing.T, spec savat.CampaignSpec) *savat.MatrixStats {
+	t.Helper()
+	c, err := spec.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := savat.Run(context.Background(), c, savat.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func newServer(t *testing.T, opts Options) *Server {
@@ -90,10 +106,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, spec)
 	a, _ := json.Marshal(res.Cells)
 	b, _ := json.Marshal(direct.Cells)
 	if string(a) != string(b) {
@@ -226,10 +239,7 @@ func TestCancelAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := savat.RunSpec(spec, savat.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, spec)
 	a, _ := json.Marshal(res.Cells)
 	b, _ := json.Marshal(direct.Cells)
 	if string(a) != string(b) {
