@@ -3,6 +3,9 @@
 // port with a temporary state directory, and drives the full campaign
 // lifecycle over the HTTP API:
 //
+//  0. submit a campaign whose capture holds more samples than the
+//     pipeline can synthesize: it must be refused with 400 and an error
+//     body, and no job may be created,
 //  1. submit a 3×3 campaign and cancel it mid-run via DELETE,
 //  2. resubmit the identical spec and watch it resume: the finished
 //     cells are restored from the store (cached cells > 0),
@@ -93,6 +96,10 @@ func run() error {
 		daemon.Wait()
 	}()
 	fmt.Println("daemon-smoke: daemon at", base)
+
+	if err := rejectUnsynthesizable(base); err != nil {
+		return err
+	}
 
 	spec := smokeSpec()
 	total := len(spec.Events) * len(spec.Events) * spec.Repeats
@@ -304,8 +311,6 @@ func run() error {
 	return nil
 }
 
-// startDaemon launches the built savatd on a random port over stateDir
-// and returns the process and its base URL.
 // runDirect measures spec in-process: the oracle every daemon result
 // must match bit for bit.
 func runDirect(spec savat.CampaignSpec) (*savat.MatrixStats, error) {
@@ -316,6 +321,8 @@ func runDirect(spec savat.CampaignSpec) (*savat.MatrixStats, error) {
 	return savat.Run(context.Background(), c, savat.CampaignOptions{})
 }
 
+// startDaemon launches the built savatd on a random port over stateDir
+// and returns the process and its base URL.
 func startDaemon(bin, stateDir string) (*exec.Cmd, string, error) {
 	daemon := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
@@ -371,17 +378,59 @@ func listenAddr(stdout interface{ Read([]byte) (int, error) }) (string, error) {
 	}
 }
 
-func submit(base string, spec savat.CampaignSpec) (service.Job, error) {
-	var jb service.Job
+// rejectUnsynthesizable submits a 1e14 s capture (about 2.6e19
+// samples, beyond what an int counts) and requires the daemon to refuse
+// it at admission: HTTP 400 with an error body, and no new job listed.
+func rejectUnsynthesizable(base string) error {
+	type list struct {
+		Campaigns []service.Job `json:"campaigns"`
+	}
+	var before, after list
+	if err := getJSON(base+"/v1/campaigns", &before); err != nil {
+		return err
+	}
+	spec := smokeSpec()
+	spec.Config.Duration = 1e14
+	resp, err := postSpec(base, spec)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return fmt.Errorf("1e14 s capture: status %d, undecodable body: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Error == "" {
+		return fmt.Errorf("1e14 s capture: status %d, error %q; want 400 with an error", resp.StatusCode, body.Error)
+	}
+	if err := getJSON(base+"/v1/campaigns", &after); err != nil {
+		return err
+	}
+	if len(after.Campaigns) != len(before.Campaigns) {
+		return fmt.Errorf("rejected 1e14 s capture left %d jobs listed, want %d", len(after.Campaigns), len(before.Campaigns))
+	}
+	fmt.Println("daemon-smoke: rejected at admission:", body.Error)
+	return nil
+}
+
+// postSpec POSTs spec to the daemon's campaign endpoint.
+func postSpec(base string, spec savat.CampaignSpec) (*http.Response, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		return jb, err
+		return nil, err
 	}
 	body, err := json.Marshal(service.SubmitRequest{Spec: specJSON, Tenant: "smoke"})
 	if err != nil {
-		return jb, err
+		return nil, err
 	}
-	resp, err := http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
+	return http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
+}
+
+func submit(base string, spec savat.CampaignSpec) (service.Job, error) {
+	var jb service.Job
+	resp, err := postSpec(base, spec)
 	if err != nil {
 		return jb, err
 	}

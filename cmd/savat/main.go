@@ -49,7 +49,8 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "savat:", err)
+		// Errors from the savat package already carry the command's name.
+		fmt.Fprintln(os.Stderr, "savat:", strings.TrimPrefix(err.Error(), "savat: "))
 		os.Exit(1)
 	}
 }
@@ -176,8 +177,8 @@ func run() error {
 			}
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "engine: %d cells (%d cached, %d computed, %d retries) in %s (%.1f cells/s)\n",
-			res.Engine.Done, res.Engine.Cached, res.Engine.Computed, res.Engine.Retries,
+		fmt.Fprintf(os.Stderr, "engine: %d cells (%d cached, %d computed) in %s (%.1f cells/s)\n",
+			res.Engine.Done, res.Engine.Cached, res.Engine.Computed,
 			res.Engine.Elapsed.Round(1e7), res.Engine.CellsPerSecond())
 		switch *format {
 		case "table":

@@ -6,17 +6,17 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/savat"
-	"repro/internal/workpool"
 )
 
 // TestStreamingParallelCampaign runs a concurrent campaign whose
-// workers fan per-segment transforms out on an explicit shared worker
-// pool — engine workers and segment workers interleave freely — and
-// checks the result against a sequential, inline-transform campaign.
-// Exact equality is required: the FIFO segment reduction makes the
-// parallel schedule invisible in the values. Run under -race (CI does)
-// this doubles as the data-race check on the segment pool inside the
-// campaign engine.
+// workers fan per-segment transforms out on the process worker pool —
+// engine workers and segment workers interleave freely — and checks the
+// result against a single-worker campaign. Exact equality is required:
+// the FIFO segment reduction makes the parallel schedule invisible in
+// the values. Run under -race (CI does) this doubles as the data-race
+// check on the segment pool inside the campaign engine. Pool shapes are
+// covered by specan's TestStreamPoolInvariance and
+// TestStreamMatchesBuffered.
 func TestStreamingParallelCampaign(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := savat.DefaultConfig()
@@ -25,10 +25,7 @@ func TestStreamingParallelCampaign(t *testing.T) {
 	events := []savat.Event{savat.ADD, savat.LDM, savat.DIV}
 
 	c := savat.Campaign{Machine: mc, Config: cfg, Events: events, Repeats: 2, Seed: 5}
-	parallel, err := savat.Run(context.Background(), c, savat.CampaignOptions{
-		Parallelism:  3,
-		AnalyzerPool: workpool.New(3),
-	})
+	parallel, err := savat.Run(context.Background(), c, savat.CampaignOptions{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

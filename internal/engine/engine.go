@@ -3,8 +3,8 @@
 // per-cell result cache (in-memory LRU over an optional durable
 // internal/store segment log) makes campaigns resumable — rerunning a
 // campaign against the same store serves every finished cell as a hit —
-// transient cell failures are retried with exponential backoff, and
-// progress is streamed as typed events with a running Stats snapshot.
+// and progress is streamed as typed events with a running Stats
+// snapshot.
 //
 // The engine is deliberately ignorant of what a cell computes: the
 // caller provides the compute function and the cache-key material that
@@ -36,106 +36,48 @@ type Spec struct {
 	Key func(row, col, rep int) string
 	// Compute produces the value of one cell. It must be deterministic
 	// in (row, col, rep) — resumability and cache correctness depend on
-	// it — and should honor ctx cancellation where it can. Exactly one
-	// of Compute and ComputeState must be set.
-	Compute func(ctx context.Context, row, col, rep int) (float64, error)
-
+	// it — and should honor ctx cancellation where it can. state is the
+	// calling worker's NewWorkerState value (nil without one); it must
+	// never influence the computed value.
+	Compute func(ctx context.Context, state any, row, col, rep int) (float64, error)
 	// NewWorkerState, when non-nil, is called once per worker goroutine
 	// at the start of a Run; the value it returns is handed to every
-	// ComputeState call that worker makes. It lets cells reuse expensive
+	// Compute call that worker makes. It lets cells reuse expensive
 	// per-worker scratch (buffers, plans, caches) without locking —
-	// state is never shared between workers. Requires ComputeState.
+	// state is never shared between workers.
 	NewWorkerState func() any
-	// ComputeState is Compute with the worker's state threaded through.
-	// The state must never influence the computed value — it is an
-	// optimization carrier only; resumability and cache correctness
-	// still require determinism in (row, col, rep) alone.
-	ComputeState func(ctx context.Context, state any, row, col, rep int) (float64, error)
 }
 
 func (s Spec) validate() error {
 	if s.Rows <= 0 || s.Cols <= 0 || s.Reps <= 0 {
 		return fmt.Errorf("engine: bad grid %dx%dx%d", s.Rows, s.Cols, s.Reps)
 	}
-	if s.Compute == nil && s.ComputeState == nil {
+	if s.Compute == nil {
 		return fmt.Errorf("engine: nil Compute")
-	}
-	if s.Compute != nil && s.ComputeState != nil {
-		return fmt.Errorf("engine: both Compute and ComputeState set")
-	}
-	if s.NewWorkerState != nil && s.ComputeState == nil {
-		return fmt.Errorf("engine: NewWorkerState requires ComputeState")
 	}
 	return nil
 }
 
-// Options configure an Engine.
+// Options are the runtime resources of one Run.
 type Options struct {
 	// Parallelism bounds concurrent cell computations (0 = GOMAXPROCS).
 	Parallelism int
-	// MaxAttempts bounds compute attempts per cell (0 = 3). Attempts
-	// beyond the first back off exponentially from RetryBackoff.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt (0 = 10ms).
-	RetryBackoff time.Duration
-	// Retryable, when non-nil, limits retries to errors it accepts;
-	// a nil predicate treats every compute error as transient.
-	Retryable func(error) bool
 	// Cache memoizes cell results across Run calls and — with a durable
 	// store — across processes. Nil uses a fresh in-memory cache of
 	// DefaultCacheCapacity.
 	Cache *Cache
 	// Flight, when non-nil, deduplicates identical cells while they are
-	// in flight: campaigns on engines sharing one Flight (and one Cache)
-	// compute each distinct cell key once even when they run
-	// concurrently; the others wait for that result and count it as
-	// Stats.Deduped. Nil disables in-flight deduplication (the cache
-	// still collapses identical cells across time).
+	// in flight: concurrent runs sharing one Flight (and one Cache)
+	// compute each distinct cell key once; the others wait for that
+	// result and count it as Stats.Deduped. Nil disables in-flight
+	// deduplication (the cache still collapses identical cells across
+	// time).
 	Flight *Flight
 	// Monitor, when non-nil, receives one ProgressEvent per finished
 	// cell, in completion order (Stats.Done rises by one per event). Run
-	// closes it when the campaign ends, so an Engine with a
-	// Monitor serves exactly one Run; drain the channel until it closes —
-	// sends block.
+	// closes it when the campaign ends, so pass a fresh channel per Run
+	// and drain it until it closes — sends block.
 	Monitor chan<- ProgressEvent
-}
-
-// Engine runs campaigns with one shared cache and cumulative stats.
-// An Engine is cheap; sharing one across Run calls shares its cache.
-type Engine struct {
-	opts Options
-
-	mu  sync.Mutex
-	cum Stats
-}
-
-// New returns an engine with defaults applied.
-func New(opts Options) *Engine {
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 10 * time.Millisecond
-	}
-	if opts.Cache == nil {
-		opts.Cache = NewCache(DefaultCacheCapacity, nil)
-	}
-	bindCacheGauges(opts.Cache)
-	return &Engine{opts: opts}
-}
-
-// Cache returns the engine's result cache.
-func (e *Engine) Cache() *Cache { return e.opts.Cache }
-
-// Stats returns the cumulative statistics over all completed Run calls.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cum
 }
 
 // Result is one campaign's output.
@@ -148,7 +90,7 @@ type Result struct {
 
 // run carries the mutable state of one Run call.
 type run struct {
-	eng      *Engine
+	opts     Options
 	spec     Spec
 	start    time.Time
 	values   [][][]float64
@@ -159,28 +101,36 @@ type run struct {
 	firstEr error
 }
 
-// Run executes the campaign described by spec, honoring ctx: on
-// cancellation no new cells start, in-flight cells finish (landing in
-// the cache, so a rerun against the same durable store resumes), and
-// the context's error is returned. A permanent cell failure (retries
-// exhausted or not retryable) likewise stops the campaign. When
-// Options.Monitor is set it is closed before Run returns.
-func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	res, err := e.runCampaign(ctx, spec)
-	if e.opts.Monitor != nil {
-		close(e.opts.Monitor)
+// Run executes the campaign described by spec on the resources in opts,
+// honoring ctx: on cancellation no new cells start, in-flight cells
+// finish (landing in the cache, so a rerun against the same durable
+// store resumes), and the context's error is returned. A cell whose
+// Compute fails stops the campaign with that error; cells are
+// deterministic, so the cell is not computed again. When opts.Monitor
+// is set it is closed before Run returns.
+func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
+	res, err := runCampaign(ctx, spec, opts)
+	if opts.Monitor != nil {
+		close(opts.Monitor)
 	}
 	return res, err
 }
 
-func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
+func runCampaign(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if opts.Cache == nil {
+		opts.Cache = NewCache(DefaultCacheCapacity, nil)
+	}
+	bindCacheGauges(opts.Cache)
 
 	total := spec.Rows * spec.Cols * spec.Reps
 	r := &run{
-		eng:    e,
+		opts:   opts,
 		spec:   spec,
 		start:  time.Now(),
 		values: make([][][]float64, spec.Rows),
@@ -202,8 +152,8 @@ func (e *Engine) runCampaign(ctx context.Context, spec Spec) (*Result, error) {
 
 	work := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(e.opts.Parallelism)
-	for w := 0; w < e.opts.Parallelism; w++ {
+	wg.Add(opts.Parallelism)
+	for w := 0; w < opts.Parallelism; w++ {
 		reserve := w > 0
 		go func() {
 			defer wg.Done()
@@ -248,16 +198,6 @@ feed:
 	firstErr := r.firstEr
 	r.mu.Unlock()
 
-	e.mu.Lock()
-	e.cum.Total += st.Total
-	e.cum.Done += st.Done
-	e.cum.Cached += st.Cached
-	e.cum.Computed += st.Computed
-	e.cum.Deduped += st.Deduped
-	e.cum.Retries += st.Retries
-	e.cum.Elapsed += st.Elapsed
-	e.mu.Unlock()
-
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: campaign interrupted after %d/%d cells: %w", st.Done, st.Total, err)
 	}
@@ -268,9 +208,9 @@ feed:
 }
 
 // cell completes one grid cell: cache lookup, then in-flight
-// deduplication (when a Flight is shared), then bounded-retry compute,
-// then accounting and eventing. state is the
-// owning worker's NewWorkerState value (nil without one).
+// deduplication (when a Flight is shared), then compute, then
+// accounting and eventing. state is the owning worker's NewWorkerState
+// value (nil without one).
 func (r *run) cell(ctx context.Context, idx int, state any) error {
 	row, col, rep := r.unflatten(idx)
 
@@ -279,33 +219,33 @@ func (r *run) cell(ctx context.Context, idx int, state any) error {
 		key = Key(r.spec.Key(row, col, rep))
 	}
 	if key != "" {
-		if v, ok := r.eng.opts.Cache.Get(key); ok {
+		if v, ok := r.opts.Cache.Get(key); ok {
 			mCellsCached.Inc()
 			r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Cached: true})
 			return nil
 		}
 	}
 
-	fl := r.eng.opts.Flight
+	fl := r.opts.Flight
 	if key == "" || fl == nil {
 		return r.computeCell(ctx, state, key, row, col, rep, nil)
 	}
 	for {
-		c, leader := fl.lead(key)
+		c, leader := fl.Lead(key)
 		if leader {
 			// Double-check the cache as leader: a previous leader may have
-			// finished (retiring the key) between our Get above and lead
+			// finished (retiring the key) between our Get above and Lead
 			// here. Re-checking makes "each distinct key computed once
-			// across engines sharing Flight and Cache" exact, not
+			// across runs sharing Flight and Cache" exact, not
 			// best-effort.
-			if v, ok := r.eng.opts.Cache.Get(key); ok {
-				fl.finish(key, c, v, nil)
+			if v, ok := r.opts.Cache.Get(key); ok {
+				fl.Finish(key, c, v, nil)
 				mCellsCached.Inc()
 				r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Cached: true})
 				return nil
 			}
 			return r.computeCell(ctx, state, key, row, col, rep, func(v float64, err error) {
-				fl.finish(key, c, v, err)
+				fl.Finish(key, c, v, err)
 			})
 		}
 		v, err := c.Wait(ctx)
@@ -323,15 +263,15 @@ func (r *run) cell(ctx context.Context, idx int, state any) error {
 	}
 }
 
-// computeCell runs the bounded-retry computation of one cell and does
-// its accounting, eventing, and caching. publish, when non-nil, hands
-// the outcome to in-flight waiters (it runs before the error is acted
-// on, so waiters never block on a failed leader).
+// computeCell computes one cell and does its accounting, eventing, and
+// caching. publish, when non-nil, hands the outcome to in-flight
+// waiters (it runs before the error is acted on, so waiters never block
+// on a failed leader).
 func (r *run) computeCell(ctx context.Context, state any, key string, row, col, rep int, publish func(float64, error)) error {
 	atomic.AddInt64(&r.inflight, 1)
 	mInFlight.Add(1)
 	begin := time.Now()
-	v, attempts, err := r.compute(ctx, state, row, col, rep)
+	v, err := r.spec.Compute(ctx, state, row, col, rep)
 	dur := time.Since(begin)
 	atomic.AddInt64(&r.inflight, -1)
 	mInFlight.Add(-1)
@@ -339,7 +279,7 @@ func (r *run) computeCell(ctx context.Context, state any, key string, row, col, 
 	// retires, the value must already be visible in the cache, so the
 	// leader double-check in cell never loses a result.
 	if err == nil && key != "" {
-		r.eng.opts.Cache.Put(key, v)
+		r.opts.Cache.Put(key, v)
 	}
 	if publish != nil {
 		publish(v, err)
@@ -348,48 +288,12 @@ func (r *run) computeCell(ctx context.Context, state any, key string, row, col, 
 		if ctx.Err() != nil {
 			return nil // cancellation, not a cell failure
 		}
-		return err
+		return fmt.Errorf("engine: cell (%d,%d,%d): %w", row, col, rep, err)
 	}
 	mCellsComputed.Inc()
 	mCellLatency.Observe(dur)
-	r.record(row, col, rep, v, ProgressEvent{
-		Row: row, Col: col, Rep: rep,
-		Duration: dur, Attempts: attempts,
-	})
+	r.record(row, col, rep, v, ProgressEvent{Row: row, Col: col, Rep: rep, Duration: dur})
 	return nil
-}
-
-// compute runs the spec's compute function with bounded retry and
-// exponential, context-aware backoff.
-func (r *run) compute(ctx context.Context, state any, row, col, rep int) (float64, int, error) {
-	opts := r.eng.opts
-	backoff := opts.RetryBackoff
-	for attempt := 1; ; attempt++ {
-		var v float64
-		var err error
-		if r.spec.ComputeState != nil {
-			v, err = r.spec.ComputeState(ctx, state, row, col, rep)
-		} else {
-			v, err = r.spec.Compute(ctx, row, col, rep)
-		}
-		if err == nil {
-			return v, attempt, nil
-		}
-		if ctx.Err() != nil {
-			return 0, attempt, ctx.Err()
-		}
-		if attempt >= opts.MaxAttempts || (opts.Retryable != nil && !opts.Retryable(err)) {
-			return 0, attempt, fmt.Errorf("engine: cell (%d,%d,%d) failed after %d attempt(s): %w",
-				row, col, rep, attempt, err)
-		}
-		r.bumpRetries()
-		select {
-		case <-ctx.Done():
-			return 0, attempt, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
 }
 
 // record stores a finished cell and emits its progress event. The send
@@ -415,8 +319,8 @@ func (r *run) record(row, col, rep int, v float64, ev ProgressEvent) {
 	r.st.Elapsed = time.Since(r.start)
 	ev.Stats = r.st
 	ev.Health = r.healthLocked()
-	if r.eng.opts.Monitor != nil {
-		r.eng.opts.Monitor <- ev
+	if r.opts.Monitor != nil {
+		r.opts.Monitor <- ev
 	}
 }
 
@@ -437,13 +341,6 @@ func (r *run) healthLocked() Health {
 	h.LatencyP50, h.LatencyP90, h.LatencyP99 = mCellLatency.Quantiles(0.50, 0.90, 0.99)
 	mQueueDepth.Set(int64(h.QueueDepth))
 	return h
-}
-
-func (r *run) bumpRetries() {
-	r.mu.Lock()
-	r.st.Retries++
-	r.mu.Unlock()
-	mRetries.Inc()
 }
 
 func (r *run) fail(err error) {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
@@ -20,7 +20,7 @@ func testSpec(rows, cols, reps int) Spec {
 		Key: func(r, c, p int) string {
 			return fmt.Sprintf("test-cell/v1|%d|%d|%d", r, c, p)
 		},
-		Compute: func(_ context.Context, r, c, p int) (float64, error) {
+		Compute: func(_ context.Context, _ any, r, c, p int) (float64, error) {
 			return float64(r*10000 + c*100 + p), nil
 		},
 	}
@@ -43,13 +43,13 @@ func checkValues(t *testing.T, res *Result, spec Spec) {
 
 func TestRunComputesAllCells(t *testing.T) {
 	spec := testSpec(3, 4, 2)
-	res, err := New(Options{Parallelism: 4}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValues(t, res, spec)
 	st := res.Stats
-	if st.Total != 24 || st.Done != 24 || st.Computed != 24 || st.Cached != 0 || st.Retries != 0 {
+	if st.Total != 24 || st.Done != 24 || st.Computed != 24 || st.Cached != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Elapsed <= 0 || st.CellsPerSecond() <= 0 {
@@ -61,7 +61,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 	cache := NewCache(64, nil)
 	spec := testSpec(2, 2, 3)
 
-	first, err := New(Options{Cache: cache}).Run(context.Background(), spec)
+	first, err := Run(context.Background(), spec, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 			events = append(events, ev)
 		}
 	}()
-	second, err := New(Options{Cache: cache, Monitor: ch}).Run(context.Background(), spec)
+	second, err := Run(context.Background(), spec, Options{Cache: cache, Monitor: ch})
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRunCacheHitMissAccounting(t *testing.T) {
 		t.Fatalf("got %d monitor events, want 12", len(events))
 	}
 	for _, ev := range events {
-		if !ev.Cached || ev.Attempts != 0 {
+		if !ev.Cached || ev.Duration != 0 {
 			t.Fatalf("expected cached event, got %+v", ev)
 		}
 	}
@@ -156,74 +156,30 @@ func TestCacheLRUEvictionAndDiskLayer(t *testing.T) {
 	}
 }
 
-func TestRetryTransientThenSuccess(t *testing.T) {
-	var mu sync.Mutex
-	failures := map[string]int{}
-	spec := testSpec(2, 1, 2)
-	spec.Key = nil
-	spec.Compute = func(_ context.Context, r, c, p int) (float64, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		id := fmt.Sprintf("%d/%d/%d", r, c, p)
-		if r == 1 && p == 1 && failures[id] < 2 {
-			failures[id]++
-			return 0, fmt.Errorf("transient glitch %d", failures[id])
-		}
-		return wantValue(r, c, p), nil
-	}
-	res, err := New(Options{RetryBackoff: time.Microsecond}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValues(t, res, spec)
-	if res.Stats.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", res.Stats.Retries)
-	}
-}
-
-func TestRetryGivesUpAfterConfiguredAttempts(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
+// Cells are deterministic, so a failing cell fails its campaign on the
+// first call: Compute runs once, the error wraps the cell's own error
+// with its coordinates, and no progress event is sent for the cell.
+func TestFailingCellComputedOnce(t *testing.T) {
+	broken := errors.New("always broken")
+	var calls atomic.Int64
 	spec := testSpec(1, 1, 1)
-	spec.Compute = func(context.Context, int, int, int) (float64, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return 0, errors.New("always broken")
+	spec.Compute = func(context.Context, any, int, int, int) (float64, error) {
+		calls.Add(1)
+		return 0, broken
 	}
-	_, err := New(Options{MaxAttempts: 3, RetryBackoff: time.Microsecond}).Run(context.Background(), spec)
-	if err == nil {
-		t.Fatal("expected failure")
+	ch := make(chan ProgressEvent, 1)
+	_, err := Run(context.Background(), spec, Options{Monitor: ch})
+	if !errors.Is(err, broken) {
+		t.Fatalf("err = %v, want it to wrap %v", err, broken)
 	}
-	if calls != 3 {
-		t.Errorf("compute called %d times, want 3", calls)
+	if want := "engine: cell (0,0,0): "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q should start with %q", err, want)
 	}
-	if want := "after 3 attempt"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q should mention %q", err, want)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("compute called %d times, want 1", n)
 	}
-}
-
-func TestRetryablePredicateStopsRetry(t *testing.T) {
-	permanent := errors.New("permanent")
-	var mu sync.Mutex
-	calls := 0
-	spec := testSpec(1, 1, 1)
-	spec.Compute = func(context.Context, int, int, int) (float64, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return 0, permanent
-	}
-	_, err := New(Options{
-		MaxAttempts:  5,
-		RetryBackoff: time.Microsecond,
-		Retryable:    func(err error) bool { return !errors.Is(err, permanent) },
-	}).Run(context.Background(), spec)
-	if err == nil || !errors.Is(err, permanent) {
-		t.Fatalf("err = %v, want wrapped permanent error", err)
-	}
-	if calls != 1 {
-		t.Errorf("compute called %d times, want 1", calls)
+	for ev := range ch {
+		t.Errorf("unexpected event for the failed cell: %+v", ev)
 	}
 }
 
@@ -233,7 +189,7 @@ func TestRetryablePredicateStopsRetry(t *testing.T) {
 // uninterrupted run.
 func TestCancellationAndResume(t *testing.T) {
 	spec := testSpec(3, 3, 2)
-	ref, err := New(Options{}).Run(context.Background(), spec)
+	ref, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,17 +200,17 @@ func TestCancellationAndResume(t *testing.T) {
 	interrupted := spec
 	var mu sync.Mutex
 	computed := 0
-	interrupted.Compute = func(c context.Context, r, cc, p int) (float64, error) {
+	interrupted.Compute = func(c context.Context, state any, r, cc, p int) (float64, error) {
 		mu.Lock()
 		computed++
 		if computed == 5 {
 			cancel() // simulate the campaign being killed partway
 		}
 		mu.Unlock()
-		return spec.Compute(c, r, cc, p)
+		return spec.Compute(c, state, r, cc, p)
 	}
 	cacheA := NewCache(64, openStore(t, dir))
-	_, err = New(Options{Parallelism: 1, Cache: cacheA}).Run(ctx, interrupted)
+	_, err = Run(ctx, interrupted, Options{Parallelism: 1, Cache: cacheA})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -269,7 +225,7 @@ func TestCancellationAndResume(t *testing.T) {
 	// Resume with a fresh cache: only the store carries state.
 	cacheB := NewCache(64, openStore(t, dir))
 	defer cacheB.Close()
-	res, err := New(Options{Cache: cacheB}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Cache: cacheB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,37 +245,23 @@ func TestCancellationAndResume(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	eng := New(Options{})
-	if _, err := eng.Run(context.Background(), Spec{}); err == nil {
+	if _, err := Run(context.Background(), Spec{}, Options{}); err == nil {
 		t.Error("empty spec should fail")
 	}
 	bad := testSpec(2, 2, 2)
 	bad.Compute = nil
-	if _, err := eng.Run(context.Background(), bad); err == nil {
+	if _, err := Run(context.Background(), bad, Options{}); err == nil {
 		t.Error("nil compute should fail")
-	}
-	both := testSpec(2, 2, 2)
-	both.ComputeState = func(_ context.Context, _ any, r, c, p int) (float64, error) {
-		return 0, nil
-	}
-	if _, err := eng.Run(context.Background(), both); err == nil {
-		t.Error("both Compute and ComputeState should fail")
-	}
-	orphan := testSpec(2, 2, 2)
-	orphan.NewWorkerState = func() any { return nil }
-	if _, err := eng.Run(context.Background(), orphan); err == nil {
-		t.Error("NewWorkerState without ComputeState should fail")
 	}
 }
 
 // Worker state must be created once per worker and threaded through every
-// ComputeState call that worker makes, without affecting values.
+// Compute call that worker makes, without affecting values.
 func TestWorkerStatePerWorker(t *testing.T) {
 	type counter struct{ calls int }
 	var mu sync.Mutex
 	states := make(map[*counter]bool)
 	spec := testSpec(4, 4, 2)
-	spec.Compute = nil
 	spec.NewWorkerState = func() any {
 		s := &counter{}
 		mu.Lock()
@@ -327,7 +269,7 @@ func TestWorkerStatePerWorker(t *testing.T) {
 		mu.Unlock()
 		return s
 	}
-	spec.ComputeState = func(_ context.Context, state any, r, c, p int) (float64, error) {
+	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
 		s := state.(*counter)
 		mu.Lock()
 		if !states[s] {
@@ -338,7 +280,7 @@ func TestWorkerStatePerWorker(t *testing.T) {
 		mu.Unlock()
 		return wantValue(r, c, p), nil
 	}
-	res, err := New(Options{Parallelism: 3}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,37 +297,20 @@ func TestWorkerStatePerWorker(t *testing.T) {
 	}
 }
 
-// ComputeState without NewWorkerState is valid: state is nil.
-func TestComputeStateWithoutWorkerState(t *testing.T) {
+// Without NewWorkerState, Compute receives a nil state.
+func TestComputeWithoutWorkerState(t *testing.T) {
 	spec := testSpec(2, 2, 1)
-	spec.Compute = nil
-	spec.ComputeState = func(_ context.Context, state any, r, c, p int) (float64, error) {
+	spec.Compute = func(_ context.Context, state any, r, c, p int) (float64, error) {
 		if state != nil {
 			return 0, fmt.Errorf("state = %v, want nil", state)
 		}
 		return wantValue(r, c, p), nil
 	}
-	res, err := New(Options{Parallelism: 2}).Run(context.Background(), spec)
+	res, err := Run(context.Background(), spec, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkValues(t, res, spec)
-}
-
-func TestEngineCumulativeStats(t *testing.T) {
-	cache := NewCache(64, nil)
-	eng := New(Options{Cache: cache})
-	spec := testSpec(2, 2, 1)
-	if _, err := eng.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Total != 8 || st.Computed != 4 || st.Cached != 4 {
-		t.Errorf("cumulative stats = %+v", st)
-	}
 }
 
 // Progress events arrive in completion order: Stats.Done rises by
@@ -412,7 +337,7 @@ func TestMonitorEventsInCompletionOrder(t *testing.T) {
 			}
 			close(bad)
 		}()
-		if _, err := New(Options{Parallelism: 4, Monitor: ch}).Run(context.Background(), testSpec(rows, cols, reps)); err != nil {
+		if _, err := Run(context.Background(), testSpec(rows, cols, reps), Options{Parallelism: 4, Monitor: ch}); err != nil {
 			t.Fatal(err)
 		}
 		if msg, ok := <-bad; ok {

@@ -75,7 +75,7 @@ func (c *Call[T]) Wait(ctx context.Context) (T, error) {
 // The result cache already collapses identical cells across time — a
 // cell computed once is never computed again — but two campaigns
 // submitted concurrently can both miss the cache and compute the same
-// cell twice. A Flight shared by their engines (Options.Flight) closes
+// cell twice. A Flight shared by their runs (Options.Flight) closes
 // that window: cells are keyed by the same content address as the
 // cache, the first campaign to reach a key computes it, and every
 // concurrent campaign that reaches the same key waits for that result
@@ -84,26 +84,10 @@ func (c *Call[T]) Wait(ctx context.Context) (T, error) {
 // Correctness rests on the cache-key contract: two cells share a key
 // exactly when their values are bit-identical by construction, so
 // handing one campaign's cell value to another can never change a
-// matrix. A Flight is safe for concurrent use; the zero value is not —
-// use NewFlight.
-type Flight struct {
-	g Group[string, float64]
-}
-
-// flightCall is one in-progress cell computation (see Call).
-type flightCall = Call[float64]
+// matrix. A Flight is safe for concurrent use; the zero value is ready.
+type Flight = Group[string, float64]
 
 // NewFlight returns an empty in-flight deduplication table.
 func NewFlight() *Flight {
 	return &Flight{}
-}
-
-// lead registers the caller as the computer of key (see Group.Lead).
-func (f *Flight) lead(key string) (*flightCall, bool) {
-	return f.g.Lead(key)
-}
-
-// finish publishes the leader's result (see Group.Finish).
-func (f *Flight) finish(key string, c *flightCall, v float64, err error) {
-	f.g.Finish(key, c, v, err)
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Two engines sharing one Flight and one Cache, running the same
+// Two runs sharing one Flight and one Cache, running the same
 // campaign concurrently, must compute each distinct cell exactly once
 // between them: every other completion is Cached or Deduped, and both
 // matrices come out bit-identical.
@@ -24,7 +24,7 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 		Key: func(row, col, rep int) string {
 			return fmt.Sprintf("flight-test|%d|%d|%d", row, col, rep)
 		},
-		Compute: func(_ context.Context, row, col, rep int) (float64, error) {
+		Compute: func(_ context.Context, _ any, row, col, rep int) (float64, error) {
 			atomic.AddInt64(&computes, 1)
 			time.Sleep(2 * time.Millisecond) // widen the in-flight window
 			return float64(row*100 + col*10 + rep), nil
@@ -36,12 +36,11 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := range results {
-		eng := New(Options{Parallelism: 4, Cache: cache, Flight: fl})
 		wg.Add(1)
-		go func(i int, eng *Engine) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Run(context.Background(), spec)
-		}(i, eng)
+			results[i], errs[i] = Run(context.Background(), spec, Options{Parallelism: 4, Cache: cache, Flight: fl})
+		}(i)
 	}
 	wg.Wait()
 
@@ -81,25 +80,25 @@ func TestFlightDedupAcrossEngines(t *testing.T) {
 // for real.
 func TestFlightLeaderFailureDoesNotPoison(t *testing.T) {
 	fl := NewFlight()
-	c1, leader := fl.lead("k")
+	c1, leader := fl.Lead("k")
 	if !leader {
 		t.Fatal("first camper should lead")
 	}
-	c2, leader := fl.lead("k")
+	c2, leader := fl.Lead("k")
 	if leader {
 		t.Fatal("second camper should wait")
 	}
 
-	fl.finish("k", c1, 0, errors.New("boom"))
+	fl.Finish("k", c1, 0, errors.New("boom"))
 	if _, err := c2.Wait(context.Background()); err == nil {
 		t.Fatal("waiter should see the leader's failure")
 	}
 	// The key retired with the failure, so the waiter can retry as leader.
-	c3, leader := fl.lead("k")
+	c3, leader := fl.Lead("k")
 	if !leader {
 		t.Fatal("key should be free after a failed leader")
 	}
-	fl.finish("k", c3, 42, nil)
+	fl.Finish("k", c3, 42, nil)
 	if v, err := c3.Wait(context.Background()); err != nil || v != 42 {
 		t.Fatalf("got (%v, %v), want (42, nil)", v, err)
 	}
@@ -109,10 +108,10 @@ func TestFlightLeaderFailureDoesNotPoison(t *testing.T) {
 // without waiting for the leader.
 func TestFlightWaitHonorsContext(t *testing.T) {
 	fl := NewFlight()
-	if _, leader := fl.lead("k"); !leader {
+	if _, leader := fl.Lead("k"); !leader {
 		t.Fatal("first camper should lead")
 	}
-	c, leader := fl.lead("k")
+	c, leader := fl.Lead("k")
 	if leader {
 		t.Fatal("second camper should wait")
 	}

@@ -46,7 +46,7 @@ func TestStoreCachePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// Two engines sharing one Flight and one store-backed Cache must
+// Two runs sharing one Flight and one store-backed Cache must
 // compute each distinct cell exactly once between them, even with the
 // store's write-behind batching in the Put path (satellite 3's
 // exactly-once condition on a durable campaign).
@@ -65,7 +65,7 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 		Key: func(row, col, rep int) string {
 			return Key(fmt.Sprintf("store-flight|%d|%d|%d", row, col, rep))
 		},
-		Compute: func(_ context.Context, row, col, rep int) (float64, error) {
+		Compute: func(_ context.Context, _ any, row, col, rep int) (float64, error) {
 			atomic.AddInt64(&computes, 1)
 			time.Sleep(2 * time.Millisecond) // widen the in-flight window
 			return float64(row*100 + col*10 + rep), nil
@@ -77,12 +77,11 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := range results {
-		eng := New(Options{Parallelism: 4, Cache: cache, Flight: fl})
 		wg.Add(1)
-		go func(i int, eng *Engine) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Run(context.Background(), spec)
-		}(i, eng)
+			results[i], errs[i] = Run(context.Background(), spec, Options{Parallelism: 4, Cache: cache, Flight: fl})
+		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -109,7 +108,7 @@ func TestFlightDedupOnStoreBackedCache(t *testing.T) {
 	}
 	resumed := NewCache(DefaultCacheCapacity, openStore(t, dir))
 	defer resumed.Close()
-	third, err := New(Options{Parallelism: 4, Cache: resumed}).Run(context.Background(), spec)
+	third, err := Run(context.Background(), spec, Options{Parallelism: 4, Cache: resumed})
 	if err != nil {
 		t.Fatal(err)
 	}

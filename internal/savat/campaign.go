@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/stats"
-	"repro/internal/workpool"
 )
 
 // Campaign is the science of one measurement campaign: everything that
@@ -67,23 +65,10 @@ func (c Campaign) grid() []Event {
 
 // CampaignOptions are the runtime resources a campaign runs on. None of
 // them influences a cell value; sharing one across campaigns shares its
-// pools and caches.
+// caches.
 type CampaignOptions struct {
 	// Parallelism bounds concurrent cell measurements (0 = GOMAXPROCS).
 	Parallelism int
-	// AnalyzerPool, when non-nil, is the worker pool each campaign
-	// worker's spectrum analyzer uses for per-segment transforms
-	// (nil = the process-default pool, shared with the engine's own
-	// workers so campaigns never oversubscribe the machine).
-	AnalyzerPool *workpool.Pool
-	// SynthCache, when non-nil, is the shared synthesis-product cache
-	// the campaign workers read envelope and noise spectral products
-	// through; sharing one across campaigns (e.g. a distance sweep over
-	// one seed) extends the reuse across runs. Nil uses a fresh cache
-	// sized to the campaign's repetition working set. Cache hits are
-	// bit-identical to the computation they replace, so cell values
-	// never depend on this option.
-	SynthCache *SynthCache
 
 	// Monitor, when non-nil, receives one engine.ProgressEvent per
 	// finished (pair, repetition) cell — cache-served cells included —
@@ -107,19 +92,15 @@ type CampaignOptions struct {
 	// Used by the campaign service so overlapping submissions never
 	// duplicate work; nil disables it.
 	Flight *engine.Flight
-	// MaxAttempts bounds per-cell measurement attempts for transient
-	// failures (0 = engine default of 3).
-	MaxAttempts int
-	// RetryBackoff is the base exponential backoff between attempts.
-	RetryBackoff time.Duration
 }
 
 // Run measures the full pairwise SAVAT matrix of campaign c on the
 // campaign engine, with rt supplying the runtime resources: a worker
 // pool fans out the (pair, repetition) cells, a content-addressed cache
 // (durable when rt.Cache has a store) makes the campaign resumable, and
-// transient cell failures are retried. The campaign is validated first;
-// rt.Monitor is closed when Run returns, whatever the outcome.
+// a failing cell stops the campaign with its error. The campaign is
+// validated first; rt.Monitor is closed when Run returns, whatever the
+// outcome.
 //
 // Every (pair, repetition) gets its own rng seeded from the event
 // identities — not matrix positions — so results are reproducible,
@@ -151,14 +132,11 @@ func Run(ctx context.Context, c Campaign, rt CampaignOptions) (*MatrixStats, err
 	// The campaign's shared synthesis-product cache. The engine
 	// enumerates repetitions innermost, so the live working set is one
 	// envelope-product entry plus one noise entry per repetition; the
-	// default capacity covers it with headroom for scheduling skew.
-	cache := rt.SynthCache
-	if cache == nil {
-		cache = NewSynthCache(2*c.Repeats + 2)
-	}
+	// capacity covers it with headroom for scheduling skew.
+	cache := NewSynthCache(2*c.Repeats + 2)
 
 	// One kernel per pair, built lazily on first need and shared across
-	// repetitions and retries.
+	// repetitions.
 	kernels := make([]*Kernel, n*n)
 	kernelErrs := make([]error, n*n)
 	kernelOnce := make([]sync.Once, n*n)
@@ -196,10 +174,9 @@ func Run(ctx context.Context, c Campaign, rt CampaignOptions) (*MatrixStats, err
 		// performs zero heap allocations (arenas are single-owner —
 		// never shared across workers).
 		NewWorkerState: func() any {
-			return NewMeasurer(mc, cfg, WithPool(rt.AnalyzerPool),
-				WithSynthCache(cache), WithArena(arena.New()))
+			return NewMeasurer(mc, cfg, WithSynthCache(cache), WithArena(arena.New()))
 		},
-		ComputeState: func(_ context.Context, state any, i, j, r int) (float64, error) {
+		Compute: func(_ context.Context, state any, i, j, r int) (float64, error) {
 			meas := state.(*Measurer)
 			k, err := kernelFor(meas, i, j)
 			if err != nil {
@@ -213,15 +190,12 @@ func Run(ctx context.Context, c Campaign, rt CampaignOptions) (*MatrixStats, err
 		},
 	}
 
-	eng := engine.New(engine.Options{
-		Parallelism:  rt.Parallelism,
-		MaxAttempts:  rt.MaxAttempts,
-		RetryBackoff: rt.RetryBackoff,
-		Cache:        rt.Cache,
-		Flight:       rt.Flight,
-		Monitor:      rt.Monitor,
+	res, err := engine.Run(ctx, spec, engine.Options{
+		Parallelism: rt.Parallelism,
+		Cache:       rt.Cache,
+		Flight:      rt.Flight,
+		Monitor:     rt.Monitor,
 	})
-	res, err := eng.Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -208,8 +208,8 @@ func TestRunCampaignContextClosesMonitorOnValidationError(t *testing.T) {
 }
 
 // An out-of-range event is rejected by Campaign.Validate before the
-// engine starts: no cell is scheduled (so none is retried as a
-// transient failure), and the Monitor closes without a single event.
+// engine starts: no cell is scheduled (so none fails as a cell error),
+// and the Monitor closes without a single event.
 func TestRunRejectsInvalidEventBeforeEngine(t *testing.T) {
 	ch := make(chan engine.ProgressEvent, 16)
 	events := 0

@@ -92,18 +92,24 @@ func (c Config) Normalized() Config {
 // frequency, channel, and countermeasure problems wrap the package
 // sentinels (ErrBadDistance, ErrBadFrequency, ErrUnknownChannel,
 // ErrBadCountermeasure) so callers at any layer can test with errors.Is.
+// The comparisons are written so that NaN fails them, and the capture
+// must hold at least one sample and fewer than 2⁵³, so its sample count
+// converts to an int exactly.
 func (c Config) Validate() error {
+	samples := c.Duration * c.SampleRate
 	switch {
-	case c.Distance <= 0:
+	case !(c.Distance > 0):
 		return fmt.Errorf("%w: %g m", ErrBadDistance, c.Distance)
-	case c.Frequency <= 0:
+	case !(c.Frequency > 0):
 		return fmt.Errorf("%w: %g Hz", ErrBadFrequency, c.Frequency)
-	case c.BandHalfWidth <= 0 || c.BandHalfWidth >= c.Frequency:
+	case !(c.BandHalfWidth > 0) || c.BandHalfWidth >= c.Frequency:
 		return fmt.Errorf("savat: band half-width %g outside (0, f0)", c.BandHalfWidth)
-	case c.SampleRate < 2*(c.Frequency+c.BandHalfWidth):
+	case !(c.SampleRate >= 2*(c.Frequency+c.BandHalfWidth)):
 		return fmt.Errorf("savat: sample rate %g below Nyquist for %g Hz", c.SampleRate, c.Frequency)
-	case c.Duration <= 0:
+	case !(c.Duration > 0):
 		return fmt.Errorf("savat: non-positive duration %g", c.Duration)
+	case !(samples >= 1 && samples < 1<<53):
+		return fmt.Errorf("savat: capture of %g s at %g Hz is %g samples, outside [1, 2^53)", c.Duration, c.SampleRate, samples)
 	case c.WarmupPeriods < 0 || c.MeasurePeriods <= 0:
 		return fmt.Errorf("savat: bad period counts warmup=%d measure=%d", c.WarmupPeriods, c.MeasurePeriods)
 	}
@@ -157,13 +163,13 @@ func (m Measurement) ZJ() float64 { return m.SAVAT * 1e21 }
 // the readable specification of the pipeline as well as the ablations'
 // entry point. It always analyzes the full spectrum; the trace is
 // returned only when trace is set.
-func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, trace bool, mo *measureObs) (Measurement, error) {
+func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, trace bool) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
 		return Measurement{}, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
-	altSp := mo.alternation.Start()
+	altSp := mAlternation.Start()
 	alt, err := k.Alternation(mc, cfg.WarmupPeriods, cfg.MeasurePeriods)
 	altSp.End()
 	if err != nil {
@@ -178,7 +184,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// the duty-d fundamental on the canonical 50/50 timeline — see
 	// measureScratch.prepare, whose coefficient computation this
 	// mirrors.
-	radSp := mo.radiate.Start()
+	radSp := mRadiate.Start()
 	rad, err := emsim.NewRadiatorLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, rand.New(rand.NewSource(seeds.Cal)))
 	radSp.End()
 	if err != nil {
@@ -209,7 +215,7 @@ func measureKernelReference(mc machine.Config, k *Kernel, cfg Config, law emsim.
 	// into one time-domain stream per active group, then the
 	// environment noise (Noise seed) as one more incoherent
 	// contribution. A fully silent kernel renders no envelopes at all.
-	synSp := mo.synthesize.Start()
+	synSp := mSynthesize.Start()
 	streams := make([][]complex128, 0, active+1)
 	if active > 0 {
 		envs, err := emsim.SynthesizeEnvelopes(emsim.CanonicalTimeline(cfg.Frequency),

@@ -8,9 +8,7 @@ import (
 	"repro/internal/counter"
 	"repro/internal/emsim"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/workpool"
 )
 
 // Measurer is the single entry point to the SAVAT measurement
@@ -26,11 +24,12 @@ import (
 // Options:
 //
 //	WithReference()    direct-rendering reference pipeline (the oracle)
-//	WithPool(p)        explicit analyzer worker pool
 //	WithSynthCache(c)  shared synthesis-product cache (campaign row reuse)
 //	WithArena(a)       arena-backed working set (zero steady-state allocation)
-//	WithObs(r)         stage metrics on a private obs.Registry
 //	WithTrace()        also return the full spectrum trace (Figure 7/8 plots)
+//
+// Stage metrics (savat.measure, savat.stage.*, savat.altcache.*) go to
+// the process registry obs.Default.
 //
 // Measurements are returned by value and share no memory with the
 // Measurer: by default they carry the band power and SAVAT value only,
@@ -43,8 +42,6 @@ type Measurer struct {
 	reference bool
 	trace     bool
 	scratch   *measureScratch // nil for the reference pipeline
-	pool      *workpool.Pool
-	mobs      *measureObs
 	cache     *SynthCache
 	arena     *arena.Arena
 
@@ -89,13 +86,6 @@ func WithReference() MeasureOption {
 	return func(m *Measurer) { m.reference = true }
 }
 
-// WithPool directs the spectrum analyzer's per-segment transforms
-// through p instead of the process-default pool. Results are
-// bit-identical for any pool.
-func WithPool(p *workpool.Pool) MeasureOption {
-	return func(m *Measurer) { m.pool = p }
-}
-
 // WithSynthCache makes the Measurer read envelope and noise spectral
 // products through c — a concurrency-safe cache from NewSynthCache,
 // typically shared by many Measurers — instead of a private
@@ -121,30 +111,16 @@ func WithArena(a *arena.Arena) MeasureOption {
 	return func(m *Measurer) { m.arena = a }
 }
 
-// WithObs records the Measurer's stage metrics (savat.measure,
-// savat.stage.*, savat.altcache.*) on r instead of the process
-// registry obs.Default. The synthesis-product cache counters
-// (savat.synthcache.*) always stay on the process registry — the cache
-// is shared across Measurers, so per-Measurer attribution would be
-// arbitrary. A nil registry is equivalent to omitting the option.
-func WithObs(r *obs.Registry) MeasureOption {
-	return func(m *Measurer) {
-		if r != nil {
-			m.mobs = newMeasureObs(r)
-		}
-	}
-}
-
 // NewMeasurer binds a machine and measurement configuration and
 // applies the options. Configuration problems surface on the first
 // measurement (wrapped sentinel errors — see Validate), not here.
 func NewMeasurer(mc machine.Config, cfg Config, opts ...MeasureOption) *Measurer {
-	m := &Measurer{mc: mc, cfg: cfg, mobs: defaultMeasureObs}
+	m := &Measurer{mc: mc, cfg: cfg}
 	for _, o := range opts {
 		o(m)
 	}
 	if !m.reference {
-		m.scratch = newMeasureScratch(m.pool, m.cache, m.arena)
+		m.scratch = newMeasureScratch(m.cache, m.arena)
 	}
 	return m
 }
@@ -202,7 +178,7 @@ func (m *Measurer) Measure(a, b Event, rng *rand.Rand) (Measurement, error) {
 // buildKernel is BuildKernel on the Measurer's machine and frequency,
 // timed as the calibrate stage.
 func (m *Measurer) buildKernel(a, b Event) (*Kernel, error) {
-	sp := m.mobs.calibrate.Start()
+	sp := mCalibrate.Start()
 	defer sp.End()
 	return BuildKernel(m.mc, a, b, m.cfg.Frequency)
 }
@@ -257,17 +233,17 @@ func (m *Measurer) productKeys(seeds SynthSeeds) (envKey, noiseKey productKey) {
 // products through the synthesis cache. The selected pipeline runs
 // inside the savat.measure span.
 func (m *Measurer) MeasureKernelSeeds(k *Kernel, seeds SynthSeeds) (Measurement, error) {
-	sp := m.mobs.measure.Start()
+	sp := mMeasure.Start()
 	defer sp.End()
 	mc, cfg, law, err := m.resolve()
 	if err != nil {
 		return Measurement{}, err
 	}
 	if m.reference {
-		return measureKernelReference(mc, k, cfg, law, seeds, m.trace, m.mobs)
+		return measureKernelReference(mc, k, cfg, law, seeds, m.trace)
 	}
 	envKey, noiseKey := m.productKeys(seeds)
-	return m.scratch.measure(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace, m.mobs)
+	return m.scratch.measure(mc, k, cfg, law, seeds, envKey, noiseKey, m.trace)
 }
 
 // MeasurePair measures one event pair `repeats` times with the

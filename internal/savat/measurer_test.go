@@ -250,15 +250,19 @@ func TestMeasurePairMatchesCellSeeding(t *testing.T) {
 }
 
 // Every measurement records one render span (band-only or traced) and
-// every kernel the Measurer builds one calibrate span, on the
-// Measurer's registry.
+// every kernel the Measurer builds one calibrate span, on the process
+// registry.
 func TestStageSpans(t *testing.T) {
 	mc := machine.Core2Duo()
 	cfg := equivConfig(func(*Config) {})
+	obs.Default.SetEnabled(true)
+	defer func() {
+		obs.Default.SetEnabled(false)
+		obs.Default.Reset()
+	}()
 	for _, opts := range [][]MeasureOption{nil, {WithTrace()}} {
-		reg := obs.NewRegistry()
-		reg.SetEnabled(true)
-		m := NewMeasurer(mc, cfg, append(opts, WithObs(reg))...)
+		obs.Default.Reset()
+		m := NewMeasurer(mc, cfg, opts...)
 		if _, err := m.Measure(ADD, LDM, rand.New(rand.NewSource(1))); err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +273,7 @@ func TestStageSpans(t *testing.T) {
 			"savat.stage.calibrate": 2, // Measure's kernel and MeasurePair's
 			"savat.stage.render":    3, // one per measurement
 		} {
-			if got := reg.Histogram(name).Count(); got != want {
+			if got := obs.Default.Histogram(name).Count(); got != want {
 				t.Errorf("%d options: %s recorded %d spans, want %d", len(opts), name, got, want)
 			}
 		}

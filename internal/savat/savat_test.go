@@ -3,6 +3,7 @@ package savat
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,6 +193,15 @@ func TestConfigValidate(t *testing.T) {
 		mod(func(c *Config) { c.MeasurePeriods = 0 }),
 		mod(func(c *Config) { c.Analyzer.RBW = 0 }),
 		mod(func(c *Config) { c.Environment.ThermalPSD = -1 }),
+		mod(func(c *Config) { c.Distance = math.NaN() }),
+		mod(func(c *Config) { c.Frequency = math.NaN() }),
+		mod(func(c *Config) { c.BandHalfWidth = math.NaN() }),
+		mod(func(c *Config) { c.SampleRate = math.NaN() }),
+		mod(func(c *Config) { c.Duration = math.NaN() }),
+		mod(func(c *Config) { c.Duration = 1e14 }),          // 2.6e19 samples overflow int
+		mod(func(c *Config) { c.Duration = math.Inf(1) }),   // infinitely many samples
+		mod(func(c *Config) { c.SampleRate = math.Inf(1) }), // likewise
+		mod(func(c *Config) { c.Duration = 1e-9 }),          // no sample at all
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/noise"
 	"repro/internal/specan"
-	"repro/internal/workpool"
 )
 
 // seededRand is a reseedable rng: one source allocated on first use,
@@ -45,7 +44,7 @@ func (s *seededRand) at(seed int64) *rand.Rand {
 //
 // A measureScratch is NOT safe for concurrent use; the campaign engine
 // gives each worker its own Measurer (the workers then share one
-// concurrency-safe SynthCache — see CampaignOptions.SynthCache).
+// concurrency-safe SynthCache — see Run).
 type measureScratch struct {
 	coeffs [][2]complex128
 	rad    emsim.Radiator
@@ -64,14 +63,13 @@ type measureScratch struct {
 	analyzer *specan.Analyzer
 }
 
-// newMeasureScratch returns an empty scratch whose analyzer transforms
-// run on pool (workpool.Default when nil), whose products are read
-// through cache (a private single-owner cache when nil), and whose
+// newMeasureScratch returns an empty scratch whose products are read
+// through cache (a private single-owner cache when nil) and whose
 // working buffers are carved from mem (the heap when nil). Buffers are
 // sized on first use.
-func newMeasureScratch(pool *workpool.Pool, cache *SynthCache, mem *arena.Arena) *measureScratch {
+func newMeasureScratch(cache *SynthCache, mem *arena.Arena) *measureScratch {
 	sp := specan.NewScratch()
-	sp.Pool, sp.Mem = pool, mem
+	sp.Mem = mem
 	if cache == nil {
 		cache = newPrivateSynthCache()
 	}
@@ -84,12 +82,12 @@ func newMeasureScratch(pool *workpool.Pool, cache *SynthCache, mem *arena.Arena)
 // repetitions) is the whole key — simulating it on first need.
 // Alternation is deterministic — it consumes no rng — so caching cannot
 // change any measured value.
-func (s *measureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, mo *measureObs) (*AlternationResult, error) {
+func (s *measureScratch) alternation(mc machine.Config, k *Kernel, cfg Config) (*AlternationResult, error) {
 	if alt, ok := s.alts[k]; ok {
-		mo.altHits.Inc()
+		mAltHits.Inc()
 		return alt, nil
 	}
-	mo.altMisses.Inc()
+	mAltMisses.Inc()
 	if s.hier == nil {
 		hier, err := memhier.New(mc.Mem)
 		if err != nil {
@@ -119,14 +117,14 @@ func (s *measureScratch) alternation(mc machine.Config, k *Kernel, cfg Config, m
 // fundamental-band power while keeping the envelope realization — and
 // therefore its cached spectral products — pair-independent. Droop
 // compensation stays on the pair's achieved period via PhaseAmplitudes.
-func (s *measureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, mo *measureObs) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
+func (s *measureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds) (alt *AlternationResult, canon emsim.Alternation, n int, jit emsim.Jitter, err error) {
 	if err = cfg.Validate(); err != nil {
 		return nil, canon, 0, jit, err
 	}
 
 	// 1. Cycle-accurate steady-state activity of the alternation loop.
-	altSp := mo.alternation.Start()
-	alt, err = s.alternation(mc, k, cfg, mo)
+	altSp := mAlternation.Start()
+	alt, err = s.alternation(mc, k, cfg)
 	altSp.End()
 	if err != nil {
 		return nil, canon, 0, jit, err
@@ -137,7 +135,7 @@ func (s *measureScratch) prepare(mc machine.Config, k *Kernel, cfg Config, law e
 	// campaign repetition). Only the two shared envelope streams are ever
 	// rendered; each group is carried as its pair of complex phase
 	// amplitudes.
-	radSp := mo.radiate.Start()
+	radSp := mRadiate.Start()
 	defer radSp.End()
 	if err = s.rad.InitLaw(mc.Sources, cfg.Distance, mc.AsymmetrySourceAmp, law, s.calRng.at(seeds.Cal)); err != nil {
 		return nil, canon, 0, jit, err
@@ -194,8 +192,8 @@ func finish(k *Kernel, alt *AlternationResult, p float64, tr *specan.Trace) Meas
 // asked for a trace, which is then rendered in full into fresh,
 // caller-owned memory (Render on a nil scratch) and read with
 // Trace.BandPower. The two routes are bit-identical.
-func (s *measureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD []float64, trace bool, mo *measureObs) (float64, *specan.Trace, error) {
-	sp := mo.render.Start()
+func (s *measureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD []float64, trace bool) (float64, *specan.Trace, error) {
+	sp := mRender.Start()
 	defer sp.End()
 	if !trace {
 		p, err := s.analyzer.BandPower(n, s.coeffs, env, noisePSD, cfg.SampleRate, cfg.Frequency, cfg.BandHalfWidth, s.specan)
@@ -220,8 +218,8 @@ func (s *measureScratch) render(n int, cfg Config, env *specan.PairPSD, noisePSD
 // the materialized captures (the specan, emsim and noise tests pin
 // this), and the values match the reference pipeline within rounding
 // (the equivalence tests bound the relative difference by 1e-9).
-func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool, mo *measureObs) (Measurement, error) {
-	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds, mo)
+func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law emsim.DistanceLaw, seeds SynthSeeds, envKey, noiseKey productKey, trace bool) (Measurement, error) {
+	alt, canon, n, jit, err := s.prepare(mc, k, cfg, law, seeds)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -237,7 +235,7 @@ func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law e
 	var env *specan.PairPSD
 	if len(s.coeffs) > 0 {
 		env, err = cache.envProducts(envKey, func(dst *specan.PairPSD) (*specan.PairPSD, error) {
-			sp := mo.synthesize.Start()
+			sp := mSynthesize.Start()
 			defer sp.End()
 			if err := s.envStream.Init(canon, cfg.SampleRate, n, jit, s.envRng.at(seeds.Env)); err != nil {
 				return nil, err
@@ -249,7 +247,7 @@ func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law e
 		}
 	}
 	noisePSD, err := cache.noiseProducts(noiseKey, func(dst []float64) ([]float64, error) {
-		sp := mo.synthesize.Start()
+		sp := mSynthesize.Start()
 		defer sp.End()
 		if err := s.noiseStream.Init(cfg.Environment, cfg.SampleRate, n, s.noiseRng.at(seeds.Noise)); err != nil {
 			return nil, err
@@ -260,7 +258,7 @@ func (s *measureScratch) measure(mc machine.Config, k *Kernel, cfg Config, law e
 		return Measurement{}, err
 	}
 
-	p, tr, err := s.render(n, cfg, env, noisePSD, trace, mo)
+	p, tr, err := s.render(n, cfg, env, noisePSD, trace)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -82,8 +82,7 @@ type synthEntry struct {
 
 // NewSynthCache returns a concurrency-safe cache bounded to capacity
 // entries (an envelope entry and a noise entry each count as one).
-// Campaigns size it to their repetition working set; see
-// CampaignOptions.SynthCache.
+// Campaigns size it to their repetition working set; see Run.
 func NewSynthCache(capacity int) *SynthCache {
 	if capacity < 2 {
 		capacity = 2

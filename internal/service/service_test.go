@@ -138,6 +138,16 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	if _, err := s.Get("c999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
+	// A capture too long to synthesize is rejected at admission, not by
+	// a running job.
+	spec = smokeSpec()
+	spec.Config.Duration = 1e14
+	if _, err := s.Submit(spec, SubmitOptions{}); err == nil {
+		t.Error("a 1e14 s capture was admitted")
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("rejected submissions created %d jobs", len(jobs))
+	}
 }
 
 func TestResultBeforeDone(t *testing.T) {
